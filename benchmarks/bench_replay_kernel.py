@@ -1,10 +1,12 @@
-"""Replay-kernel throughput: scalar oracle vs batched kernels.
+"""Replay-kernel throughput: scalar oracle vs the compiled fast path.
 
-Times the same default-scale workload replay through every available
-kernel (``scalar``, ``batched-python``, ``batched-native``), asserts
-the batched path is bit-identical AND at least 5x the scalar
+Times the same default-scale workload replay through the ``scalar``
+oracle and the default compiled path (``batched``), asserts the
+default path is bit-identical AND at least 5x the scalar
 requests/second, and writes the numbers to ``BENCH_replay.json``
-(override the location with ``REPRO_BENCH_REPLAY_JSON``).
+(override the location with ``REPRO_BENCH_REPLAY_JSON``).  Without a
+working C compiler the default path *is* the scalar oracle, so the
+floor cannot hold and the benchmark fails saying so.
 """
 
 import json
@@ -49,10 +51,11 @@ def _make_run(prep, kernel):
 
 
 def test_replay_kernel_speedup():
+    assert _ckernel.available(), (
+        f"compiled replay kernel unavailable ({_ckernel.build_error()}); "
+        "the default path is the scalar oracle")
     prep = prepare_workload("mcf", accesses_per_core=ACCESSES, seed=0)
-    kernels = ["scalar", "batched-python"]
-    if _ckernel.available():
-        kernels.append("batched-native")
+    kernels = ["scalar", "batched"]
 
     report = {"workload": "mcf", "accesses_per_core": ACCESSES,
               "requests": 0, "kernels": {}}
@@ -66,18 +69,13 @@ def test_replay_kernel_speedup():
             "requests_per_second": result.requests / seconds,
         }
 
-    scalar = results["scalar"]
-    for kernel in kernels[1:]:
-        batched = results[kernel]
-        assert batched.total_seconds == scalar.total_seconds, kernel
-        assert batched.mean_read_latency == scalar.mean_read_latency, kernel
-        assert batched.per_core_ipc == scalar.per_core_ipc, kernel
+    scalar, batched = results["scalar"], results["batched"]
+    assert batched.total_seconds == scalar.total_seconds
+    assert batched.mean_read_latency == scalar.mean_read_latency
+    assert batched.per_core_ipc == scalar.per_core_ipc
 
-    best = max(kernels[1:],
-               key=lambda k: report["kernels"][k]["requests_per_second"])
-    speedup = (report["kernels"][best]["requests_per_second"]
+    speedup = (report["kernels"]["batched"]["requests_per_second"]
                / report["kernels"]["scalar"]["requests_per_second"])
-    report["best_batched"] = best
     report["speedup_vs_scalar"] = speedup
 
     out = os.environ.get("REPRO_BENCH_REPLAY_JSON", "BENCH_replay.json")
@@ -87,8 +85,7 @@ def test_replay_kernel_speedup():
     rps = {k: f"{v['requests_per_second']:,.0f} req/s"
            for k, v in report["kernels"].items()}
     print(f"\nreplay kernel throughput ({report['requests']} requests): "
-          f"{rps}; best batched = {best} at {speedup:.1f}x scalar "
-          f"-> {out}")
+          f"{rps}; default path at {speedup:.1f}x scalar -> {out}")
     assert speedup >= SPEEDUP_FLOOR, (
-        f"batched replay only {speedup:.2f}x scalar "
+        f"default replay only {speedup:.2f}x scalar "
         f"(floor {SPEEDUP_FLOOR}x)")

@@ -299,10 +299,9 @@ def _knob_table(*knobs: Knob) -> "dict[str, Knob]":
 #: The full knob table, in display order.
 KNOBS: "dict[str, Knob]" = _knob_table(
     Knob("replay_kernel", "REPRO_REPLAY_KERNEL", "str", None,
-         "replay engine kernel",
-         choices=("batched", "scalar", "batched-native", "batched-python")),
-    Knob("replay_native", "REPRO_REPLAY_NATIVE", "bool", True,
-         "compile the C replay loop (0 = pure Python)"),
+         "replay engine kernel (scalar = per-request oracle; "
+         "unset = compiled fast path)",
+         choices=("scalar",)),
     Knob("mea_native", "REPRO_MEA_NATIVE", "bool", True,
          "compile the C MEA chunk kernel (0 = pure Python)"),
     Knob("ckernel_dir", "REPRO_CKERNEL_DIR", "str", None,
@@ -320,7 +319,7 @@ KNOBS: "dict[str, Knob]" = _knob_table(
          "(0 = pickle)"),
     Knob("multirun", "REPRO_MULTIRUN", "bool", True,
          "config-batched multi-run engine for sweeps "
-         "(0 = per-point oracle path)"),
+         "(0 = one replay per point)"),
     Knob("fault_trials", "REPRO_FAULT_TRIALS", "int", 0,
          "Monte-Carlo fault-sim trials (0 = analytic)"),
     Knob("seed", "REPRO_SEED", "int", 0,

@@ -68,7 +68,7 @@ class MemoryDevice:
         self.channel_busy_until = [0.0] * self.num_channels
         self.stats = DeviceStats()
         # Row-buffer access latencies in seconds, precomputed so the
-        # batched replay kernel matches ``cycles * clock_period`` of
+        # compiled replay kernel matches ``cycles * clock_period`` of
         # the scalar path bit for bit.
         self.hit_seconds = config.timing.row_hit_cycles() * self.clock_period
         self.miss_seconds = config.timing.row_miss_cycles() * self.clock_period

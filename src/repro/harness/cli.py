@@ -247,8 +247,8 @@ def _add_runner_args(sub) -> None:
         "--multirun", action=argparse.BooleanOptionalAction, default=None,
         help="config-batched multi-run engine: batch every sweep's "
              "configurations through one vectorized replay pass "
-             "(default on; --no-multirun forces the per-point oracle "
-             "path; env REPRO_MULTIRUN)")
+             "(default on; --no-multirun replays every point on its "
+             "own; env REPRO_MULTIRUN)")
     sub.add_argument(
         "--telemetry", action="store_true",
         help="record metrics, epoch snapshots, and tracing spans for "

@@ -117,21 +117,17 @@ def workload_cache_key(
     seed: int,
     config=None,
     ser_model=None,
-    cache_kernel: "str | None" = None,
 ) -> str:
     """Digest of everything :func:`prepare_workload` depends on.
 
     ``config`` and ``ser_model`` are dataclasses with value-style
     ``repr``; hashing the repr keys the cache on the full parameter
-    set without inventing a parallel serialisation.  ``cache_kernel``
-    (default: the resolved knob) keys entries per filter backend so a
-    cached preparation can never alias across kernels; the
-    ``shm_handoff`` knob is deliberately NOT part of the key — it only
-    changes how prepared workloads travel to workers, never their
-    contents.
+    set without inventing a parallel serialisation.  Knobs that do not
+    change a preparation are deliberately NOT part of the key:
+    ``cache_kernel`` (preparation never runs the cache filter) and
+    ``shm_handoff`` (it only changes how prepared workloads travel to
+    workers, never their contents).
     """
-    from repro.cache.hierarchy import resolve_cache_kernel
-
     payload = "|".join([
         f"v{CACHE_VERSION}",
         str(workload),
@@ -140,7 +136,6 @@ def workload_cache_key(
         str(int(seed)),
         repr(config),
         repr(ser_model),
-        f"cache_kernel={resolve_cache_kernel(cache_kernel)}",
     ])
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 

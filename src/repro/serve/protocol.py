@@ -205,6 +205,20 @@ def chunk_from_payload(msg: dict, num_cores: int) -> "tuple[Trace, np.ndarray]":
 # ---------------------------------------------------------------------------
 
 
+#: Upper bound on the wire bytes one access adds to an ``append`` line:
+#: its five list items (core, address, write, gap, times; at most ~70
+#: characters of JSON with separators), with headroom.
+MAX_ACCESS_BYTES = 96
+#: Headroom for an ``append`` line's envelope (op, session, seq, keys).
+LINE_ENVELOPE_BYTES = 64 * 1024
+
+
+def line_limit(max_chunk_accesses: int) -> int:
+    """The longest request line a daemon accepts: room for the largest
+    legal ``append`` (``max_chunk_accesses`` accesses) and its envelope."""
+    return max_chunk_accesses * MAX_ACCESS_BYTES + LINE_ENVELOPE_BYTES
+
+
 def encode_message(msg: dict) -> bytes:
     """One protocol message as a newline-terminated JSON line."""
     return (json.dumps(msg, sort_keys=True) + "\n").encode("utf-8")

@@ -26,6 +26,7 @@ from repro.serve.protocol import (
     decode_line,
     encode_message,
     error_response,
+    line_limit,
 )
 
 
@@ -41,6 +42,9 @@ class ServeDaemon:
     def __init__(self, service, path: str) -> None:
         self.service = service
         self.path = str(path)
+        #: Longest request line read; derived from the chunk cap so the
+        #: largest legal append always fits.
+        self.limit = line_limit(service.config.max_chunk_accesses)
         self.ready = threading.Event()
         self._loop: "asyncio.AbstractEventLoop | None" = None
         self._stop: "asyncio.Event | None" = None
@@ -75,8 +79,8 @@ class ServeDaemon:
                     pass  # not the main thread / unsupported platform
         if os.path.exists(self.path):
             os.unlink(self.path)  # stale socket from a killed daemon
-        server = await asyncio.start_unix_server(self._serve_connection,
-                                                 path=self.path)
+        server = await asyncio.start_unix_server(
+            self._serve_connection, path=self.path, limit=self.limit)
         self.ready.set()
         try:
             async with server:
@@ -102,7 +106,19 @@ class ServeDaemon:
         self._conns.add(entry)
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # EOF, maybe after a final line
+                except asyncio.LimitOverrunError as exc:
+                    # Framing survives an over-long line: skip through
+                    # its newline, answer, and keep the connection.
+                    await _skip_line(reader, exc.consumed)
+                    writer.write(encode_message(error_response(
+                        ERR_PROTOCOL, f"request line exceeds the "
+                        f"{self.limit}-byte limit; split the append")))
+                    await writer.drain()
+                    continue
                 if not line:
                     return
                 try:
@@ -128,6 +144,22 @@ class ServeDaemon:
                 await writer.wait_closed()
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
+
+
+async def _skip_line(reader, consumed: int) -> None:
+    """Discard an over-long line through its newline.
+
+    ``consumed`` bytes are buffered and known to precede the newline
+    (see :class:`asyncio.LimitOverrunError`); drop them and retry until
+    the remainder fits.
+    """
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
 
 
 def run_daemon(service, path: str, handle_signals: bool = True) -> dict:

@@ -1,20 +1,23 @@
-"""Optional compiled busy-until kernel for the batched replay path.
+"""Compiled kernels for the replay engine and the cache filter.
 
-The fused core/bank/channel resolution loop in
-:func:`repro.sim.engine._replay_batched` is inherently sequential, so
-its cost is pure interpreter dispatch.  This module compiles the same
-loop — operation for operation, in the same order, on IEEE-754
-doubles — to a tiny shared library with the system C compiler and
-loads it through :mod:`ctypes`.  No third-party packages and no build
-step: the library is built once per source revision into a cache
-directory and memoised per process.
+Replay's per-request work — page-table translation, channel/bank/row
+routing and the core/bank/channel busy-until recurrence — is
+inherently sequential, so in Python its cost is pure interpreter
+dispatch.  This module compiles that loop (``repro_multi_chunk``,
+used by every fast path of :mod:`repro.sim.engine`) and the fused
+cache-filter loop to tiny shared libraries with the system C compiler
+and loads them through :mod:`ctypes`: operation for operation, in the
+same order, on IEEE-754 doubles.  No third-party packages and no build
+step: each library is built once per source revision into a cache
+directory and memoised per process.  :class:`MultiCall` checks every
+array it hands the replay kernel (dtype, C-contiguity, size, page-table
+bounds) and raises :class:`ValueError` rather than let C read out of
+bounds.
 
-Everything degrades gracefully: if there is no C compiler, the build
-fails, or ``REPRO_REPLAY_NATIVE=0`` is set, :func:`load` returns
-``None`` and the engine falls back to the pure-Python fused loop.
-Both produce bit-identical results (see ``tests/sim/test_parity.py``
-and ``tests/sim/test_ckernel_fallback.py``); the compiled loop is
-simply ~10x faster.
+Everything degrades gracefully: if there is no C compiler or the build
+fails, :func:`load` returns ``None`` and the engine replays with the
+scalar oracle instead.  Both produce bit-identical results (see
+``tests/sim/test_parity.py`` and ``tests/sim/test_ckernel_fallback.py``).
 
 Build *failure* is cached per process exactly like success: the first
 failed attempt emits one :class:`NativeKernelUnavailableWarning`
@@ -34,135 +37,39 @@ import tempfile
 import threading
 import warnings
 
+import numpy as np
+
 
 class NativeKernelUnavailableWarning(RuntimeWarning):
     """The compiled replay kernel could not be built or loaded.
 
-    Emitted once per process; the engine transparently falls back to
-    the bit-identical pure-Python fused loop.
+    Emitted once per process; the caller transparently falls back to a
+    bit-identical implementation (the scalar replay oracle, or the
+    Python cache-filter loop).
     """
 
 _SOURCE = r"""
 #include <stdint.h>
 
-/* One chunk of the batched replay loop.  Mirrors the scalar path
- * (ReplayCore + MemoryDevice.service) float-operation for
- * float-operation; compiled without -ffast-math so the doubles round
- * exactly like CPython's.
+/* One chunk of the replay loop for nspec system configurations.
  *
- * latconst layout: [device * 4 + {hit, miss, conflict, burst}].
- * ring is a per-core circular buffer of in-flight finish times
- * (capacity ringcap), the deque of the Python implementation.
- */
-void repro_replay_chunk(
-    int64_t n,
-    const int32_t *core,
-    const double *dts,
-    const int64_t *gid,
-    const int32_t *cid,
-    const uint8_t *dev,
-    const uint8_t *is_write,
-    const int64_t *row,
-    const double *latconst,
-    double *core_time,
-    const int32_t *windows,
-    double *ring,
-    int32_t *ring_head,
-    int32_t *ring_len,
-    int32_t ringcap,
-    double *bank_busy,
-    int64_t *bank_open,
-    int64_t *bank_hits,
-    int64_t *bank_misses,
-    int64_t *bank_conflicts,
-    double *chan_busy,
-    double *read_lat,
-    double *busy_acc,
-    double *read_total)
-{
-    double rtotal = read_total[0];
-    for (int64_t i = 0; i < n; i++) {
-        int32_t c = core[i];
-        double t = core_time[c] + dts[i];
-        double *r = ring + (int64_t)c * ringcap;
-        int32_t head = ring_head[c];
-        int32_t len = ring_len[c];
-        while (len > 0 && r[head] <= t) {
-            head++; if (head == ringcap) head = 0;
-            len--;
-        }
-        if (len >= windows[c]) {
-            double oldest = r[head];
-            head++; if (head == ringcap) head = 0;
-            len--;
-            if (oldest > t) t = oldest;
-            while (len > 0 && r[head] <= t) {
-                head++; if (head == ringcap) head = 0;
-                len--;
-            }
-        }
-        int64_t g = gid[i];
-        double bb = bank_busy[g];
-        double begin = t > bb ? t : bb;
-        int64_t open_row = bank_open[g];
-        int64_t rw = row[i];
-        const double *lc = latconst + dev[i] * 4;
-        double access_done;
-        if (open_row == rw) {
-            bank_hits[g]++;
-            access_done = begin + lc[0];
-        } else if (open_row < 0) {
-            bank_misses[g]++;
-            access_done = begin + lc[1];
-        } else {
-            bank_conflicts[g]++;
-            access_done = begin + lc[2];
-        }
-        bank_open[g] = rw;
-        double b = lc[3];
-        double burst_start = access_done - b;
-        double cb = chan_busy[cid[i]];
-        if (cb > burst_start) burst_start = cb;
-        double finish = burst_start + b;
-        chan_busy[cid[i]] = finish;
-        bank_busy[g] = finish;
-        if (!is_write[i]) {
-            double latency = finish - t;
-            read_lat[dev[i]] += latency;
-            rtotal += latency;
-        }
-        busy_acc[dev[i]] += b;
-        int32_t tail = head + len;
-        if (tail >= ringcap) tail -= ringcap;
-        r[tail] = finish;
-        len++;
-        ring_head[c] = head;
-        ring_len[c] = len;
-        core_time[c] = t;
-    }
-    read_total[0] = rtotal;
-}
-"""
-
-_MULTI_SOURCE = r"""
-#include <stdint.h>
-
-/* One chunk of the config-batched multi-run replay loop.
- *
- * Identical timing arithmetic to repro_replay_chunk, with two
- * differences: (1) page-table translation and channel/bank/row routing
- * happen here, per request, instead of in numpy (the integer / and %
- * match numpy's floor division exactly for the non-negative operands
- * involved), and (2) an outer loop walks nspec system configurations
+ * Mirrors the scalar path (ReplayCore + HeterogeneousMemory.service +
+ * MemoryDevice.service) float-operation for float-operation; compiled
+ * without -ffast-math so the doubles round exactly like CPython's.
+ * Page-table translation and channel/bank/row routing are pure integer
+ * arithmetic (/ and % match Python's floor division for the
+ * non-negative operands involved).  An outer loop walks nspec configs
  * stacked along the leading axis of every state array, so one call
  * replays the shared request chunk against N page tables / capacities /
  * latency tables.  The request arrays (core, dts, page, line, is_write)
  * are shared by every config and span the whole trace; the chunk is the
  * index range [start, stop), so callers pass full-trace pointers once
- * and move only the bounds between chunks.  Everything else is
- * per-config with the config index as the leading dimension.
+ * and move only the bounds between chunks.
  *
- * dev_counts layout per config: [reads_fast, reads_slow, writes_fast,
+ * latconst layout per config: [device * 4 + {hit, miss, conflict,
+ * burst}].  ring is a per-core circular buffer of in-flight finish
+ * times (capacity ringcap), the outstanding-miss window.  dev_counts
+ * layout per config: [reads_fast, reads_slow, writes_fast,
  * writes_slow], incremented in place.
  */
 void repro_multi_chunk(
@@ -238,7 +145,7 @@ void repro_multi_chunk(
             int64_t cd = d ? f_nc + channel : channel;
             counts[d ? (is_write[i] ? 3 : 1) : (is_write[i] ? 2 : 0)]++;
 
-            /* -- busy-until resolution (identical to repro_replay_chunk) */
+            /* -- busy-until resolution -- */
             int32_t c = core[i];
             double t = ctime[c] + dts[i];
             double *r = kring + (int64_t)c * ringcap;
@@ -423,14 +330,13 @@ void repro_cache_filter_chunk(
 }
 """
 
+
 _lock = threading.Lock()
 #: ``(fn, error)`` once resolved, success or failure alike — the build
 #: (and any compiler invocation) happens at most once per process.
 _cached: "tuple[object, str | None] | None" = None
 #: Same memoisation for the cache-filter kernel.
 _filter_cached: "tuple[object, str | None] | None" = None
-#: Same memoisation for the config-batched multi-run kernel.
-_multi_cached: "tuple[object, str | None] | None" = None
 
 
 def _cache_dir() -> str:
@@ -443,7 +349,7 @@ def _cache_dir() -> str:
                         f"repro-ckernel-{os.getuid()}")
 
 
-def _build(so_path: str, source: str = _SOURCE) -> "str | None":
+def _build(so_path: str, source: str) -> "str | None":
     """Compile a kernel; returns None on success, an error detail on
     failure (including the compiler's stderr where available)."""
     compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
@@ -474,66 +380,80 @@ def _build(so_path: str, source: str = _SOURCE) -> "str | None":
         return detail
 
 
+def _load_kernel(source: str, stem: str, bind) -> "tuple[object, str | None]":
+    """Build (once per source revision) and bind one kernel.
+
+    Returns ``(fn, None)`` on success and ``(None, detail)`` on failure.
+    """
+    digest = hashlib.sha256(source.encode()).hexdigest()[:16]
+    so_path = os.path.join(_cache_dir(), f"{stem}-{digest}.so")
+    try:
+        if not os.path.exists(so_path):
+            error = _build(so_path, source)
+            if error is not None:
+                return None, error
+        return bind(so_path), None
+    except OSError as exc:
+        return None, repr(exc)
+
+
 def _bind(so_path: str):
     lib = ctypes.CDLL(so_path)
-    fn = lib.repro_replay_chunk
+    fn = lib.repro_multi_chunk
     p_f64 = ctypes.POINTER(ctypes.c_double)
     p_i64 = ctypes.POINTER(ctypes.c_int64)
     p_i32 = ctypes.POINTER(ctypes.c_int32)
+    p_i16 = ctypes.POINTER(ctypes.c_int16)
     p_u8 = ctypes.POINTER(ctypes.c_uint8)
+    c_i64 = ctypes.c_int64
     fn.argtypes = [
-        ctypes.c_int64,          # n
-        p_i32, p_f64, p_i64, p_i32, p_u8, p_u8, p_i64,   # request arrays
-        p_f64,                   # latconst
-        p_f64, p_i32,            # core_time, windows
-        p_f64, p_i32, p_i32, ctypes.c_int32,  # ring, head, len, ringcap
-        p_f64, p_i64, p_i64, p_i64, p_i64,    # bank state
-        p_f64,                   # chan_busy
-        p_f64, p_f64, p_f64,     # read_lat, busy_acc, read_total
+        c_i64, c_i64, c_i64,                   # nspec, start, stop
+        p_i32, p_f64, p_i64, p_i64, p_u8,      # core, dts, page, line, write
+        c_i64, c_i64,                          # lines_per_page, lines_per_row
+        c_i64, c_i64, c_i64, c_i64, c_i64,     # f_nc, s_nc, f_bpc, s_bpc,
+                                               # n_fast_banks
+        p_i16, p_i64, c_i64,                   # pt_device, pt_frame, pt_len
+        p_f64,                                 # latconst
+        p_f64, p_i32,                          # core_time, windows
+        p_f64, p_i32, p_i32, ctypes.c_int32,   # ring, head, len, ringcap
+        c_i64,                                 # ncores
+        p_f64, p_i64, p_i64, p_i64, p_i64,     # bank state
+        p_f64, c_i64, c_i64,                   # chan_busy, nbanks, nchan
+        p_f64, p_f64, p_f64,                   # read_lat, busy_acc, read_total
+        p_i64,                                 # dev_counts
     ]
     fn.restype = None
     return fn
 
 
 def load():
-    """The compiled chunk kernel, or ``None`` when unavailable.
+    """The compiled replay kernel, or ``None`` when unavailable.
 
     The outcome — success *or* failure — is memoised per process, so a
     broken toolchain costs exactly one ``cc`` invocation and one
     :class:`NativeKernelUnavailableWarning` (with the compiler stderr)
-    before every caller silently gets the Python fallback.
+    before every caller silently gets the scalar oracle.
     """
     global _cached
     if _cached is not None:
         return _cached[0]
     with _lock:
-        if _cached is not None:
-            return _cached[0]
-        from repro.config import knob_value
+        if _cached is None:
+            _cached = _load_kernel(_SOURCE, "replay", _bind)
+            if _cached[1] is not None:
+                warnings.warn(
+                    "native replay kernel unavailable, falling back to the "
+                    "scalar oracle (bit-identical, ~30x slower): "
+                    f"{_cached[1]}",
+                    NativeKernelUnavailableWarning,
+                    stacklevel=2,
+                )
+        return _cached[0]
 
-        fn, error = None, None
-        if knob_value("replay_native"):
-            digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
-            so_path = os.path.join(_cache_dir(), f"replay-{digest}.so")
-            try:
-                if not os.path.exists(so_path):
-                    error = _build(so_path)
-                if error is None:
-                    fn = _bind(so_path)
-            except OSError as exc:
-                fn, error = None, repr(exc)
-            if fn is None and error is None:
-                error = "unknown load failure"
-        _cached = (fn, error)
-        if error is not None:
-            warnings.warn(
-                "native replay kernel unavailable, falling back to the "
-                f"pure-Python fused loop (bit-identical, ~10x slower): "
-                f"{error}",
-                NativeKernelUnavailableWarning,
-                stacklevel=2,
-            )
-        return fn
+
+#: The replay kernel is the multi-config kernel; kept as a name of its own
+#: for callers that probe it separately.
+load_multi = load
 
 
 def build_error() -> "str | None":
@@ -543,11 +463,10 @@ def build_error() -> "str | None":
 
 def _reset_for_tests() -> None:
     """Forget the per-process memoised outcomes (chaos tests only)."""
-    global _cached, _filter_cached, _multi_cached
+    global _cached, _filter_cached
     with _lock:
         _cached = None
         _filter_cached = None
-        _multi_cached = None
 
 
 def available() -> bool:
@@ -591,28 +510,19 @@ def load_filter():
             return _filter_cached[0]
         from repro.config import knob_value
 
-        fn, error = None, None
+        _filter_cached = (None, None)
         if knob_value("cache_native"):
-            digest = hashlib.sha256(_FILTER_SOURCE.encode()).hexdigest()[:16]
-            so_path = os.path.join(_cache_dir(), f"cachefilter-{digest}.so")
-            try:
-                if not os.path.exists(so_path):
-                    error = _build(so_path, _FILTER_SOURCE)
-                if error is None:
-                    fn = _bind_filter(so_path)
-            except OSError as exc:
-                fn, error = None, repr(exc)
-            if fn is None and error is None:
-                error = "unknown load failure"
-        _filter_cached = (fn, error)
-        if error is not None:
+            _filter_cached = _load_kernel(_FILTER_SOURCE, "cachefilter",
+                                          _bind_filter)
+        if _filter_cached[1] is not None:
             warnings.warn(
                 "native cache-filter kernel unavailable, falling back to "
-                f"the fused Python loop (bit-identical, slower): {error}",
+                f"the fused Python loop (bit-identical, slower): "
+                f"{_filter_cached[1]}",
                 NativeKernelUnavailableWarning,
                 stacklevel=2,
             )
-        return fn
+        return _filter_cached[0]
 
 
 def filter_build_error() -> "str | None":
@@ -625,131 +535,35 @@ def filter_available() -> bool:
     return load_filter() is not None
 
 
-def _bind_multi(so_path: str):
-    lib = ctypes.CDLL(so_path)
-    fn = lib.repro_multi_chunk
-    p_f64 = ctypes.POINTER(ctypes.c_double)
-    p_i64 = ctypes.POINTER(ctypes.c_int64)
-    p_i32 = ctypes.POINTER(ctypes.c_int32)
-    p_i16 = ctypes.POINTER(ctypes.c_int16)
-    p_u8 = ctypes.POINTER(ctypes.c_uint8)
-    c_i64 = ctypes.c_int64
-    fn.argtypes = [
-        c_i64, c_i64, c_i64,                   # nspec, start, stop
-        p_i32, p_f64, p_i64, p_i64, p_u8,      # core, dts, page, line, write
-        c_i64, c_i64,                          # lines_per_page, lines_per_row
-        c_i64, c_i64, c_i64, c_i64, c_i64,     # f_nc, s_nc, f_bpc, s_bpc,
-                                               # n_fast_banks
-        p_i16, p_i64, c_i64,                   # pt_device, pt_frame, pt_len
-        p_f64,                                 # latconst
-        p_f64, p_i32,                          # core_time, windows
-        p_f64, p_i32, p_i32, ctypes.c_int32,   # ring, head, len, ringcap
-        c_i64,                                 # ncores
-        p_f64, p_i64, p_i64, p_i64, p_i64,     # bank state
-        p_f64, c_i64, c_i64,                   # chan_busy, nbanks, nchan
-        p_f64, p_f64, p_f64,                   # read_lat, busy_acc, read_total
-        p_i64,                                 # dev_counts
-    ]
-    fn.restype = None
-    return fn
-
-
-def load_multi():
-    """The compiled multi-config chunk kernel, or ``None``.
-
-    Gated by the same ``replay_native`` knob as :func:`load` and
-    memoised identically; failure warns once and the multi-run engine
-    transparently falls back to the bit-identical per-spec path.
-    """
-    global _multi_cached
-    if _multi_cached is not None:
-        return _multi_cached[0]
-    with _lock:
-        if _multi_cached is not None:
-            return _multi_cached[0]
-        from repro.config import knob_value
-
-        fn, error = None, None
-        if knob_value("replay_native"):
-            digest = hashlib.sha256(_MULTI_SOURCE.encode()).hexdigest()[:16]
-            so_path = os.path.join(_cache_dir(), f"multi-{digest}.so")
-            try:
-                if not os.path.exists(so_path):
-                    error = _build(so_path, _MULTI_SOURCE)
-                if error is None:
-                    fn = _bind_multi(so_path)
-            except OSError as exc:
-                fn, error = None, repr(exc)
-            if fn is None and error is None:
-                error = "unknown load failure"
-        _multi_cached = (fn, error)
-        if error is not None:
-            warnings.warn(
-                "native multi-run kernel unavailable, falling back to "
-                f"the per-spec replay path (bit-identical, slower): "
-                f"{error}",
-                NativeKernelUnavailableWarning,
-                stacklevel=2,
-            )
-        return fn
-
-
-def multi_build_error() -> "str | None":
-    """The cached multi-kernel build/load failure, if any (after
-    :func:`load_multi`)."""
-    return _multi_cached[1] if _multi_cached is not None else None
-
-
-def multi_available() -> bool:
-    return load_multi() is not None
-
-
-def _pi16(a):
-    return a.ctypes.data_as(ctypes.POINTER(ctypes.c_int16))
-
-
-def run_multi_chunk(fn, core, dts, page, line, is_write,
-                    lines_per_page, lines_per_row,
-                    f_nc, s_nc, f_bpc, s_bpc, n_fast_banks,
-                    pt_device, pt_frame, pt_len,
-                    latconst, core_time, windows,
-                    ring, ring_head, ring_len, ringcap, ncores,
-                    bank_busy, bank_open, bank_hits, bank_misses,
-                    bank_conflicts, chan_busy, nbanks, nchan,
-                    read_lat, busy_acc, read_total, dev_counts) -> None:
-    """Invoke the compiled multi-config loop on C-contiguous arrays.
-
-    ``nspec`` is taken from ``read_total``; every per-config array must
-    be stacked ``[nspec, ...]`` C-contiguously.  Every page referenced
-    by the chunk must already be mapped in every config's page table
-    (``dev == -1`` would index out of bounds) — the engine guarantees
-    that by calling ``ensure_mapped`` per spec before the chunk.
-    """
-    fn(len(read_total), 0, len(core),
-       _pi32(core), _pf64(dts), _pi64(page), _pi64(line), _pu8(is_write),
-       int(lines_per_page), int(lines_per_row),
-       int(f_nc), int(s_nc), int(f_bpc), int(s_bpc), int(n_fast_banks),
-       _pi16(pt_device), _pi64(pt_frame), int(pt_len),
-       _pf64(latconst), _pf64(core_time), _pi32(windows),
-       _pf64(ring), _pi32(ring_head), _pi32(ring_len), int(ringcap),
-       int(ncores),
-       _pf64(bank_busy), _pi64(bank_open), _pi64(bank_hits),
-       _pi64(bank_misses), _pi64(bank_conflicts),
-       _pf64(chan_busy), int(nbanks), int(nchan),
-       _pf64(read_lat), _pf64(busy_acc), _pf64(read_total),
-       _pi64(dev_counts))
+def _require(arr, dtype, name: str, size: "int | None" = None) -> None:
+    """The C kernel reads ``arr`` as packed ``dtype`` items (``size`` of
+    them, when given); anything else would be misread or overrun."""
+    if not isinstance(arr, np.ndarray) or arr.dtype != dtype:
+        got = getattr(arr, "dtype", type(arr).__name__)
+        raise ValueError(f"{name} must be a {np.dtype(dtype)} array, "
+                         f"got {got}")
+    if not arr.flags.c_contiguous:
+        raise ValueError(f"{name} must be C-contiguous")
+    if size is not None and arr.size != size:
+        raise ValueError(f"{name} holds {arr.size} items, expected {size}")
 
 
 class MultiCall:
-    """A pre-bound multi-kernel invocation for one chunked replay.
+    """A pre-bound replay-kernel invocation for one replay.
 
     Chunked replays call the kernel once per interval with the same
     request and state arrays every time; re-deriving ~20 ctypes
-    pointers per call costs more than some chunks' C work.  This caches
-    every pointer at construction (holding array references so the
-    memory stays alive) and per chunk passes only the request range and
+    pointers per call costs more than some chunks' C work.  This checks
+    every array's dtype, layout and size (and the core and page ranges)
+    once, caches its pointer (holding a reference so the memory stays
+    alive), and per chunk checks and passes only the request range and
     the page-table columns, which migrations may reallocate between
-    chunks.
+    chunks.  A failed check raises :class:`ValueError` before C runs.
+
+    The per-config state arrays are stacked ``[nspec, ...]``, with
+    ``nspec`` taken from ``read_total``.  Every page the chunk references
+    must already be mapped in every config's page table (the engine
+    calls ``ensure_mapped`` per spec before the chunk).
     """
 
     def __init__(self, fn, core, dts, page, line, is_write,
@@ -760,8 +574,39 @@ class MultiCall:
                  bank_busy, bank_open, bank_hits, bank_misses,
                  bank_conflicts, chan_busy, nbanks, nchan,
                  read_lat, busy_acc, read_total, dev_counts) -> None:
+        nspec = len(read_total)
+        n = len(core)
+        per_core = nspec * ncores
+        for arr, dtype, size, name in (
+                (core, np.int32, n, "core"), (dts, np.float64, n, "dts"),
+                (page, np.int64, n, "page"), (line, np.int64, n, "line"),
+                (is_write, np.uint8, n, "is_write"),
+                (latconst, np.float64, nspec * 8, "latconst"),
+                (core_time, np.float64, per_core, "core_time"),
+                (windows, np.int32, per_core, "windows"),
+                (ring, np.float64, per_core * ringcap, "ring"),
+                (ring_head, np.int32, per_core, "ring_head"),
+                (ring_len, np.int32, per_core, "ring_len"),
+                (bank_busy, np.float64, nspec * nbanks, "bank_busy"),
+                (bank_open, np.int64, nspec * nbanks, "bank_open"),
+                (bank_hits, np.int64, nspec * nbanks, "bank_hits"),
+                (bank_misses, np.int64, nspec * nbanks, "bank_misses"),
+                (bank_conflicts, np.int64, nspec * nbanks,
+                 "bank_conflicts"),
+                (chan_busy, np.float64, nspec * nchan, "chan_busy"),
+                (read_lat, np.float64, nspec * 2, "read_lat"),
+                (busy_acc, np.float64, nspec * 2, "busy_acc"),
+                (read_total, np.float64, nspec, "read_total"),
+                (dev_counts, np.int64, nspec * 4, "dev_counts")):
+            _require(arr, dtype, name, size)
+        if n and not (0 <= int(core.min()) and int(core.max()) < ncores):
+            raise ValueError(f"core ids outside [0, {ncores})")
+        if n and int(page.min()) < 0:
+            raise ValueError("negative page numbers")
         self._fn = fn
-        self._nspec = len(read_total)
+        self._nspec = nspec
+        self._n = n
+        self._page = page
         self._keep = (core, dts, page, line, is_write, latconst,
                       core_time, windows, ring, ring_head, ring_len,
                       bank_busy, bank_open, bank_hits, bank_misses,
@@ -786,9 +631,36 @@ class MultiCall:
         )
 
     def run(self, start, stop, pt_device, pt_frame, pt_len) -> None:
-        """Replay requests ``[start, stop)`` against the bound state."""
-        self._fn(self._nspec, int(start), int(stop), *self._request,
-                 _pi16(pt_device), _pi64(pt_frame), int(pt_len),
+        """Replay requests ``[start, stop)`` against the bound state.
+
+        ``pt_device``/``pt_frame`` are the ``int16``/``int64`` page-table
+        columns: 1-D for one config, or stacked ``[nspec, pt_len]``;
+        every page in the chunk must be below ``pt_len``.
+        """
+        start, stop, pt_len = int(start), int(stop), int(pt_len)
+        if not 0 <= start <= stop <= self._n:
+            raise ValueError(f"request range [{start}, {stop}) outside "
+                             f"[0, {self._n})")
+        _require(pt_device, np.int16, "pt_device")
+        _require(pt_frame, np.int64, "pt_frame")
+        if pt_device.shape != pt_frame.shape:
+            raise ValueError(f"page-table columns differ in shape: "
+                             f"{pt_device.shape} vs {pt_frame.shape}")
+        if pt_device.ndim == 1 and self._nspec == 1:
+            width = len(pt_device)
+        elif pt_device.shape == (self._nspec, pt_len):
+            width = pt_len
+        else:
+            raise ValueError(f"page tables of shape {pt_device.shape} do "
+                             f"not stack {self._nspec} x {pt_len}")
+        if not 0 < pt_len <= width:
+            raise ValueError(f"pt_len {pt_len} outside the page table "
+                             f"(1..{width})")
+        if stop > start and int(self._page[start:stop].max()) >= pt_len:
+            raise ValueError(f"requests [{start}, {stop}) reference pages "
+                             f"beyond pt_len {pt_len}")
+        self._fn(self._nspec, start, stop, *self._request,
+                 _pi16(pt_device), _pi64(pt_frame), pt_len,
                  *self._state)
 
 
@@ -829,21 +701,9 @@ def _pi32(a):
     return a.ctypes.data_as(ctypes.POINTER(ctypes.c_int32))
 
 
+def _pi16(a):
+    return a.ctypes.data_as(ctypes.POINTER(ctypes.c_int16))
+
+
 def _pu8(a):
     return a.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8))
-
-
-def run_chunk(fn, core, dts, gid, cid, dev, is_write, row, latconst,
-              core_time, windows, ring, ring_head, ring_len, ringcap,
-              bank_busy, bank_open, bank_hits, bank_misses, bank_conflicts,
-              chan_busy, read_lat, busy_acc, read_total) -> None:
-    """Invoke the compiled chunk loop on C-contiguous numpy arrays."""
-    fn(len(core),
-       _pi32(core), _pf64(dts), _pi64(gid), _pi32(cid), _pu8(dev),
-       _pu8(is_write), _pi64(row), _pf64(latconst),
-       _pf64(core_time), _pi32(windows),
-       _pf64(ring), _pi32(ring_head), _pi32(ring_len), int(ringcap),
-       _pf64(bank_busy), _pi64(bank_open), _pi64(bank_hits),
-       _pi64(bank_misses), _pi64(bank_conflicts),
-       _pf64(chan_busy), _pf64(read_lat), _pf64(busy_acc),
-       _pf64(read_total))

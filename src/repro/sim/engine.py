@@ -1,38 +1,42 @@
 """The trace-replay engine: cores + HMA + optional migration.
 
-:func:`replay` drives a time-ordered multi-core memory trace through
-the :class:`~repro.sim.cpu.ReplayCore` models and a
-:class:`~repro.dram.hma.HeterogeneousMemory`, optionally invoking a
-:class:`~repro.core.migration.MigrationMechanism` at interval
-boundaries.  Interval boundaries are expressed in the trace's logical
-time (the generator's ``[0, 1)`` window); migration bandwidth is
-charged to both devices at the boundary, so migration-heavy intervals
-slow subsequent requests down — the paper's migration cost model.
+:func:`replay_multi` drives one time-ordered multi-core memory trace
+through the :class:`~repro.sim.cpu.ReplayCore` models and N system
+configurations (:class:`ReplaySpec`: a
+:class:`~repro.dram.hma.HeterogeneousMemory`, optionally with a
+:class:`~repro.core.migration.MigrationMechanism` invoked at interval
+boundaries); :func:`replay` is its single-spec form.  Interval
+boundaries are expressed in the trace's logical time (the generator's
+``[0, 1)`` window); migration bandwidth is charged to both devices at
+the boundary, so migration-heavy intervals slow subsequent requests
+down — the paper's migration cost model.
 
-Two kernels implement the same timing model:
+Two implementations of the same timing model:
 
-* ``scalar`` — the original per-request call chain
-  (``hma.service`` → ``MemoryDevice.service`` → ``Bank.service``).
-  It is the reference oracle: slow, but written directly against the
-  component models.
-* ``batched`` (default) — page-table translation and channel/bank/row
-  routing are computed for a whole chunk with NumPy, and only the
-  inherently sequential core/bank/channel busy-until resolution runs
-  in a tight fused loop over flat lists.  The arithmetic mirrors the
-  scalar path operation for operation, so both kernels produce
-  bit-identical :class:`~repro.sim.results.ReplayResult` timings
-  (enforced by ``tests/sim/test_parity.py``).
+* the compiled fast path (default) — page-table translation,
+  channel/bank/row routing and the sequential core/bank/channel
+  busy-until resolution run per request in the C kernel of
+  :mod:`repro.sim._ckernel`.  Static specs (no mechanism, one
+  interval) that share core count, clocking and device geometry are
+  stacked along a config axis and replayed in one call; chunked specs
+  (migration or multi-interval residency sampling) call the kernel
+  once per chunk.
+* ``scalar`` — the per-request call chain (``hma.service`` →
+  ``MemoryDevice.service`` → ``Bank.service``), written directly
+  against the component models.  It is the reference oracle for the
+  differential fuzzer and the parity suites, and the fallback when the
+  fast path cannot run: ``kernel="scalar"`` (or
+  ``REPRO_REPLAY_KERNEL=scalar``), memory models without page tables
+  (the DRAM-cache foil), or a host without a working C compiler.
 
-The kernel is selected with the ``kernel`` argument or the
-``REPRO_REPLAY_KERNEL`` environment variable; memory models that lack
-the batch API (e.g. the DRAM-cache foil) automatically fall back to
-the scalar kernel.
+The arithmetic of both mirrors operation for operation, so they
+produce bit-identical :class:`~repro.sim.results.ReplayResult` timings
+(enforced by ``tests/sim/test_parity.py`` and
+``tests/sim/test_multirun_parity.py``).
 """
 
 from __future__ import annotations
 
-import os
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,42 +66,20 @@ def interval_boundaries(num_intervals: int) -> np.ndarray:
     return np.arange(1, num_intervals) / num_intervals
 
 
-#: Recognised values for ``replay(..., kernel=)`` and
-#: ``REPRO_REPLAY_KERNEL``.  Plain ``"batched"`` auto-selects the
-#: compiled loop when a C compiler is available, else the pure-Python
-#: fused loop; the explicit variants pin one implementation.
-KERNELS = ("batched", "scalar", "batched-native", "batched-python")
+#: Recognised values for ``kernel=``: ``"batched"`` is the compiled
+#: fast path (the default), ``"scalar"`` the per-request oracle.
+KERNELS = ("batched", "scalar")
 
 
-def _resolve_kernel(kernel: "str | None", hma) -> str:
-    """Pick the replay kernel for this run."""
-    supported = (
-        hasattr(hma, "route_batch") and hasattr(hma, "fast_pages_snapshot")
-    )
+def _resolve_kernel(kernel: "str | None") -> str:
+    """The requested kernel: argument > ``REPRO_REPLAY_KERNEL`` > fast."""
+    from repro.config import knob_value
+
+    kernel = knob_value("replay_kernel", kernel)
     if kernel is None:
-        from repro.config import knob_value
-
-        kernel = knob_value("replay_kernel", kernel)
-    if kernel is None:
-        if not supported:
-            return "scalar"
-        kernel = "batched"
+        return "batched"
     if kernel not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}")
-    if kernel == "scalar":
-        return kernel
-    if not supported:
-        raise ValueError(
-            f"{type(hma).__name__} does not expose the batch API; "
-            "use kernel='scalar'"
-        )
-    if kernel == "batched":
-        return "batched-native" if _ckernel.available() else "batched-python"
-    if kernel == "batched-native" and not _ckernel.available():
-        raise RuntimeError(
-            "compiled replay kernel unavailable (no C compiler, build "
-            "failure, or REPRO_REPLAY_NATIVE=0)"
-        )
     return kernel
 
 
@@ -194,48 +176,27 @@ def replay(
     residency of fast memory is snapshotted at the start of every
     sub-interval for dynamic SER accounting.  ``core_windows`` gives
     each core its workload's MLP-limited miss window.  ``kernel``
-    selects the replay implementation (``"batched"`` or ``"scalar"``,
-    default: batched whenever ``hma`` supports it); both produce
-    identical results.
+    selects the implementation (``"batched"``, the default, or
+    ``"scalar"``); both produce identical results.  This is
+    :func:`replay_multi` with a single spec.
     """
-    kernel = _resolve_kernel(kernel, hma)
-    sub = mechanism.subintervals_per_interval if mechanism else 1
-    total_chunks = num_intervals * sub
-    if total_chunks > 1:
-        if times is None:
-            raise ValueError("times required for interval-based replay")
-        bounds = interval_boundaries(total_chunks)
-        cut = np.searchsorted(times, bounds)
-        starts = np.concatenate(([0], cut))
-        stops = np.concatenate((cut, [len(trace)]))
-    else:
-        starts, stops = np.array([0]), np.array([len(trace)])
-        bounds = np.empty(0)
+    spec = ReplaySpec(config=config, hma=hma, mechanism=mechanism,
+                      num_intervals=num_intervals,
+                      core_windows=core_windows)
+    return replay_multi([spec], trace, times, kernel=kernel)[0]
 
-    if core_windows is not None and len(core_windows) != config.num_cores:
-        raise ValueError("core_windows must have one entry per core")
 
-    # Telemetry: None when disabled, so the kernels' chunk loops pay a
-    # single ``is None`` test per epoch.
-    sink = replay_sink(hma)
-    args = (config, hma, trace, times, mechanism, core_windows,
-            starts, stops, bounds, total_chunks, sub, sink)
-    with span("replay", kernel=kernel, requests=len(trace),
-              chunks=total_chunks,
-              mechanism=mechanism.name if mechanism else None):
-        if kernel == "scalar":
-            result = _replay_scalar(*args)
-        elif kernel == "batched-native":
-            result = _replay_batched_native(*args)
-        else:
-            result = _replay_batched(*args)
-    if sink is not None:
-        result.snapshots = sink.series
-        registry = _metrics.get_registry()
-        registry.counter("replay.requests").inc(len(trace))
-        registry.counter("replay.chunks").inc(total_chunks)
-        registry.counter("replay.runs").inc()
-    return result
+def _record_run(result: ReplayResult, sink, requests: int,
+                chunks: int) -> None:
+    """Attach the epoch series and bump the replay counters (telemetry
+    on only: ``sink`` is ``None`` otherwise)."""
+    if sink is None:
+        return
+    result.snapshots = sink.series
+    registry = _metrics.get_registry()
+    registry.counter("replay.requests").inc(requests)
+    registry.counter("replay.chunks").inc(chunks)
+    registry.counter("replay.runs").inc()
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +204,23 @@ def replay(
 # ---------------------------------------------------------------------------
 
 def _replay_scalar(
-    config, hma, trace, times, mechanism, core_windows,
-    starts, stops, bounds, total_chunks, sub, sink=None,
+    spec: "ReplaySpec", trace: Trace, times: "np.ndarray | None",
+    shared: "_TraceShared",
 ) -> ReplayResult:
+    """One spec through the per-request call chain.
+
+    Takes only the chunk bounds from ``shared`` and derives its own
+    request arrays, so a fault in the fast paths' precompute cannot
+    leak into the oracle.
+    """
+    config, hma, mechanism = spec.config, spec.hma, spec.mechanism
+    core_windows = spec.core_windows
+    if core_windows is not None and len(core_windows) != config.num_cores:
+        raise ValueError("core_windows must have one entry per core")
+    sub = mechanism.subintervals_per_interval if mechanism else 1
+    total_chunks = _total_chunks(spec)
+    starts, stops, bounds = shared.chunking(total_chunks, times)
+    sink = replay_sink(hma)
     cores = [
         ReplayCore(
             config.core,
@@ -312,450 +287,12 @@ def _replay_scalar(
                           hma.slow.stats.writes, window_ace)
 
     final = max(core.drain() for core in cores) if cores else 0.0
-    return _build_result(
+    result = _build_result(
         config, hma, trace, final, [core.time for core in cores],
         read_latency_total, read_count, residency, bounds,
     )
-
-
-# ---------------------------------------------------------------------------
-# Batched kernel
-# ---------------------------------------------------------------------------
-
-def _route_chunk(hma, chunk_pages, chunk_lines, f_nc, s_nc, f_bpc, s_bpc,
-                 n_fast_banks):
-    """Vectorised translation + routing for one chunk.
-
-    Returns ``(dev, is_fast, gid, cid, row)`` arrays where ``gid`` is a
-    global bank id (fast banks channel-major first, then slow) and
-    ``cid`` a global channel id, matching :func:`flatten_bank_state`.
-    """
-    dev, local = hma.route_batch(chunk_pages, chunk_lines)
-    is_fast = dev == FAST
-    channel = np.where(is_fast, local % f_nc, local % s_nc)
-    row_global = np.where(is_fast, local // f_nc, local // s_nc) \
-        // LINES_PER_ROW
-    bank = np.where(is_fast, row_global % f_bpc, row_global % s_bpc)
-    row = np.where(is_fast, row_global // f_bpc, row_global // s_bpc)
-    gid = np.where(
-        is_fast,
-        channel * f_bpc + bank,
-        n_fast_banks + channel * s_bpc + bank,
-    )
-    cid = np.where(is_fast, channel, f_nc + channel)
-    return dev, is_fast, gid, cid, row
-
-
-def _seq_sum(initial: float, values: np.ndarray) -> float:
-    """Strictly-sequential float64 sum, like a scalar ``+=`` loop.
-
-    ``np.add.accumulate`` applies the additions one at a time in array
-    order, so the result is bit-identical to folding ``values`` into
-    ``initial`` with a Python loop — unlike ``np.sum``, whose pairwise
-    reduction rounds differently.
-    """
-    seq = np.empty(len(values) + 1)
-    seq[0] = initial
-    seq[1:] = values
-    return float(np.add.accumulate(seq)[-1])
-
-
-def _replay_batched(
-    config, hma, trace, times, mechanism, core_windows,
-    starts, stops, bounds, total_chunks, sub, sink=None,
-) -> ReplayResult:
-    num_cores = config.num_cores
-    spi = 1.0 / (config.core.issue_width * config.core.frequency_hz)
-    cap = config.core.max_outstanding_misses
-    windows = (
-        [min(cap, w) for w in core_windows]
-        if core_windows is not None else [cap] * num_cores
-    )
-    if any(w < 1 for w in windows):
-        raise ValueError("miss window must be >= 1")
-    core_time = [0.0] * num_cores
-    outstanding = [deque() for _ in range(num_cores)]
-
-    pages_arr = (trace.address // PAGE_SIZE).astype(np.int64)
-    lines_arr = ((trace.address % PAGE_SIZE) // LINE_SIZE).astype(np.int64)
-
-    fast, slow = hma.fast, hma.slow
-    f_nc, s_nc = fast.num_channels, slow.num_channels
-    f_bpc, s_bpc = fast.banks_per_channel, slow.banks_per_channel
-    n_fast_banks = fast.num_banks_total
-
-    # Flattened device state, synced with the device objects at
-    # migration boundaries (migrations charge channel bandwidth) and
-    # at the end of the run.  Bank open rows and hit/miss/conflict
-    # counters are integer state independent of timing, kept as arrays
-    # and updated vectorially once per chunk.
-    bank_open_l, bank_busy, hits_l, misses_l, conflicts_l = \
-        flatten_bank_state(fast, slow)
-    bank_open_np = np.array(bank_open_l, dtype=np.int64)
-    hits_np = np.array(hits_l, dtype=np.int64)
-    misses_np = np.array(misses_l, dtype=np.int64)
-    conflicts_np = np.array(conflicts_l, dtype=np.int64)
-    total_banks = len(bank_busy)
-    chan_busy = list(fast.channel_busy_until) + list(slow.channel_busy_until)
-    reads_ct = [fast.stats.reads, slow.stats.reads]
-    writes_ct = [fast.stats.writes, slow.stats.writes]
-    read_lat = [fast.stats.total_read_latency, slow.stats.total_read_latency]
-    busy_acc = [fast.stats.busy_time, slow.stats.busy_time]
-
-    def _sync_to_devices() -> None:
-        fast.channel_busy_until = chan_busy[:f_nc]
-        slow.channel_busy_until = chan_busy[f_nc:]
-        for d, device in enumerate((fast, slow)):
-            device.stats.reads = reads_ct[d]
-            device.stats.writes = writes_ct[d]
-            device.stats.total_read_latency = read_lat[d]
-            device.stats.busy_time = busy_acc[d]
-
-    residency: "list[set[int]]" = []
-    read_latency_total = 0.0
-    read_count = 0
-
-    for chunk, (start, stop) in enumerate(zip(starts, stops)):
-        residency.append(_residency_snapshot(hma))
-
-        chunk_pages = pages_arr[start:stop]
-        chunk_writes = trace.is_write[start:stop]
-        if mechanism is not None and len(chunk_pages):
-            chunk_times = times[start:stop] if times is not None else None
-            mechanism.observe_chunk(chunk_pages, chunk_writes,
-                                    times=chunk_times)
-
-        n_req = int(stop - start)
-        if n_req:
-            # -- vectorised translation and routing --
-            dev, is_fast, g_arr, cid_arr, row_arr = _route_chunk(
-                hma, chunk_pages, lines_arr[start:stop],
-                f_nc, s_nc, f_bpc, s_bpc, n_fast_banks,
-            )
-            cids = cid_arr.tolist()
-            core_ids = trace.core[start:stop].tolist()
-            # gap * spi is exact in float64 (gaps < 2^32), so
-            # precomputing the per-request time increment matches the
-            # scalar path.
-            dts = np.multiply(trace.gap[start:stop], spi).tolist()
-            writes_l = chunk_writes.tolist()
-            # Request/read/write counts are integer sums: tally them
-            # vectorially instead of incrementing inside the loop.
-            n_writes_fast = int(np.count_nonzero(is_fast & chunk_writes))
-            n_reads_fast = int(np.count_nonzero(is_fast)) - n_writes_fast
-            n_writes_slow = (int(np.count_nonzero(chunk_writes))
-                             - n_writes_fast)
-            n_reads_slow = (n_req - n_reads_fast - n_writes_fast
-                            - n_writes_slow)
-            reads_ct[0] += n_reads_fast
-            reads_ct[1] += n_reads_slow
-            writes_ct[0] += n_writes_fast
-            writes_ct[1] += n_writes_slow
-            read_count += n_reads_fast + n_reads_slow
-
-            # -- vectorised row-buffer classification --
-            # Whether an access hits, misses (bank closed), or
-            # conflicts depends only on the per-bank sequence of rows,
-            # not on timing: group requests by bank with a stable sort,
-            # compare each row to its predecessor in the same bank, and
-            # seed the first access per bank with the carried open row.
-            order = np.argsort(g_arr, kind="stable")
-            gs = g_arr[order]
-            rs = row_arr[order]
-            first = np.empty(n_req, dtype=bool)
-            first[0] = True
-            np.not_equal(gs[1:], gs[:-1], out=first[1:])
-            prev = np.empty(n_req, dtype=np.int64)
-            prev[1:] = rs[:-1]
-            prev[first] = bank_open_np[gs[first]]
-            hit = prev == rs
-            miss = ~hit & (prev == -1)
-            conflict = ~(hit | miss)
-            fast_sorted = is_fast[order]
-            lat_sorted = np.where(
-                hit,
-                np.where(fast_sorted, fast.hit_seconds, slow.hit_seconds),
-                np.where(
-                    miss,
-                    np.where(fast_sorted, fast.miss_seconds,
-                             slow.miss_seconds),
-                    np.where(fast_sorted, fast.conflict_seconds,
-                             slow.conflict_seconds),
-                ),
-            )
-            lats = np.empty(n_req)
-            lats[order] = lat_sorted
-            lats = lats.tolist()
-            bursts = np.where(is_fast, fast.burst_seconds,
-                              slow.burst_seconds).tolist()
-            hits_np += np.bincount(gs[hit], minlength=total_banks)
-            misses_np += np.bincount(gs[miss], minlength=total_banks)
-            conflicts_np += np.bincount(gs[conflict], minlength=total_banks)
-            # Carry each bank's last-opened row into the next chunk.
-            last = np.empty(n_req, dtype=bool)
-            last[-1] = True
-            np.not_equal(gs[1:], gs[:-1], out=last[:-1])
-            bank_open_np[gs[last]] = rs[last]
-            gids = g_arr.tolist()
-
-            # -- the fused busy-until resolution loop --
-            # Per-request work is the irreducibly sequential part of
-            # the timing model: each request couples its core's miss
-            # window, one bank, and one channel to all earlier
-            # requests.
-            rl: "list[float]" = []
-            rl_append = rl.append
-            for c, dt, g, cd, w, lat, b in zip(core_ids, dts, gids, cids,
-                                               writes_l, lats, bursts):
-                t = core_time[c] + dt
-                out = outstanding[c]
-                while out and out[0] <= t:
-                    out.popleft()
-                if len(out) >= windows[c]:
-                    oldest = out.popleft()
-                    if oldest > t:
-                        t = oldest
-                    while out and out[0] <= t:
-                        out.popleft()
-                bb = bank_busy[g]
-                begin = t if t > bb else bb
-                access_done = begin + lat
-                burst_start = access_done - b
-                cb = chan_busy[cd]
-                if cb > burst_start:
-                    burst_start = cb
-                finish = burst_start + b
-                chan_busy[cd] = finish
-                bank_busy[g] = finish
-                if not w:
-                    rl_append(finish - t)
-                out.append(finish)
-                core_time[c] = t
-
-            # Latency and busy-time accumulators fold one value per
-            # request in request order; _seq_sum replays the identical
-            # float64 additions out of the loop.
-            if rl:
-                lat_arr = np.asarray(rl)
-                read_latency_total = _seq_sum(read_latency_total, lat_arr)
-                read_dev = dev[~chunk_writes]
-                for d in (0, 1):
-                    dsel = lat_arr[read_dev == d]
-                    if len(dsel):
-                        read_lat[d] = _seq_sum(read_lat[d], dsel)
-            for d, count, burst in (
-                (0, n_reads_fast + n_writes_fast, fast.burst_seconds),
-                (1, n_reads_slow + n_writes_slow, slow.burst_seconds),
-            ):
-                if count:
-                    busy_acc[d] = _seq_sum(busy_acc[d],
-                                           np.full(count, burst))
-
-        # -- migration at the boundary --
-        window_ace = 0.0
-        if sink is not None and mechanism is not None:
-            # Sampled before the plan: planning resets the window.
-            window_ace = mechanism.window_ace_total()
-        if mechanism is not None and chunk < total_chunks - 1:
-            now = max(core_time)
-            to_fast, to_slow = _plan_migration(mechanism, hma, chunk, sub)
-            if to_fast or to_slow:
-                # Migration charges channel bandwidth on the device
-                # objects; hand the flattened state back, then reload.
-                _sync_to_devices()
-                hma.migrate_pairs(to_fast, to_slow, now)
-                chan_busy = (list(fast.channel_busy_until)
-                             + list(slow.channel_busy_until))
-                busy_acc = [fast.stats.busy_time, slow.stats.busy_time]
-
-        if sink is not None:
-            sink.on_epoch(chunk, reads_ct[0], writes_ct[0],
-                          reads_ct[1], writes_ct[1], window_ace)
-
-    final = 0.0
-    for c in range(num_cores):
-        t = core_time[c]
-        out = outstanding[c]
-        if out:
-            last = max(out)
-            if last > t:
-                t = last
-            out.clear()
-            core_time[c] = t
-        if t > final:
-            final = t
-
-    restore_bank_state(fast, slow, bank_open_np.tolist(), bank_busy,
-                       hits_np.tolist(), misses_np.tolist(),
-                       conflicts_np.tolist())
-    _sync_to_devices()
-    return _build_result(
-        config, hma, trace, final, core_time,
-        read_latency_total, read_count, residency, bounds,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Batched kernel, compiled loop
-# ---------------------------------------------------------------------------
-
-def _replay_batched_native(
-    config, hma, trace, times, mechanism, core_windows,
-    starts, stops, bounds, total_chunks, sub, sink=None,
-) -> ReplayResult:
-    """The batched kernel with the fused loop compiled to C.
-
-    Identical structure to :func:`_replay_batched`, but the per-request
-    busy-until resolution (including row-buffer classification) runs in
-    :mod:`repro.sim._ckernel`; all mutable state lives in numpy arrays
-    shared with the C loop by pointer.
-    """
-    kernel_fn = _ckernel.load()
-    num_cores = config.num_cores
-    spi = 1.0 / (config.core.issue_width * config.core.frequency_hz)
-    cap = config.core.max_outstanding_misses
-    windows = (
-        [min(cap, w) for w in core_windows]
-        if core_windows is not None else [cap] * num_cores
-    )
-    if any(w < 1 for w in windows):
-        raise ValueError("miss window must be >= 1")
-    windows_np = np.asarray(windows, dtype=np.int32)
-    ringcap = int(max(windows))
-    core_time = np.zeros(num_cores)
-    ring = np.zeros((num_cores, ringcap))
-    ring_head = np.zeros(num_cores, dtype=np.int32)
-    ring_len = np.zeros(num_cores, dtype=np.int32)
-
-    pages_arr = (trace.address // PAGE_SIZE).astype(np.int64)
-    lines_arr = ((trace.address % PAGE_SIZE) // LINE_SIZE).astype(np.int64)
-
-    fast, slow = hma.fast, hma.slow
-    f_nc, s_nc = fast.num_channels, slow.num_channels
-    f_bpc, s_bpc = fast.banks_per_channel, slow.banks_per_channel
-    n_fast_banks = fast.num_banks_total
-    latconst = np.array([
-        fast.hit_seconds, fast.miss_seconds, fast.conflict_seconds,
-        fast.burst_seconds,
-        slow.hit_seconds, slow.miss_seconds, slow.conflict_seconds,
-        slow.burst_seconds,
-    ])
-
-    bank_open_l, bank_busy_l, hits_l, misses_l, conflicts_l = \
-        flatten_bank_state(fast, slow)
-    bank_open = np.asarray(bank_open_l, dtype=np.int64)
-    bank_busy = np.asarray(bank_busy_l)
-    bank_hits = np.asarray(hits_l, dtype=np.int64)
-    bank_misses = np.asarray(misses_l, dtype=np.int64)
-    bank_conflicts = np.asarray(conflicts_l, dtype=np.int64)
-    chan_busy = np.array(list(fast.channel_busy_until)
-                         + list(slow.channel_busy_until))
-    reads_ct = [fast.stats.reads, slow.stats.reads]
-    writes_ct = [fast.stats.writes, slow.stats.writes]
-    read_lat = np.array([fast.stats.total_read_latency,
-                         slow.stats.total_read_latency])
-    busy_acc = np.array([fast.stats.busy_time, slow.stats.busy_time])
-    read_total = np.zeros(1)
-    read_count = 0
-
-    def _sync_to_devices() -> None:
-        fast.channel_busy_until = chan_busy[:f_nc].tolist()
-        slow.channel_busy_until = chan_busy[f_nc:].tolist()
-        for d, device in enumerate((fast, slow)):
-            device.stats.reads = reads_ct[d]
-            device.stats.writes = writes_ct[d]
-            device.stats.total_read_latency = float(read_lat[d])
-            device.stats.busy_time = float(busy_acc[d])
-
-    residency: "list[set[int]]" = []
-
-    for chunk, (start, stop) in enumerate(zip(starts, stops)):
-        residency.append(_residency_snapshot(hma))
-
-        chunk_pages = pages_arr[start:stop]
-        chunk_writes = trace.is_write[start:stop]
-        if mechanism is not None and len(chunk_pages):
-            chunk_times = times[start:stop] if times is not None else None
-            mechanism.observe_chunk(chunk_pages, chunk_writes,
-                                    times=chunk_times)
-
-        n_req = int(stop - start)
-        if n_req:
-            dev, is_fast, g_arr, cid_arr, row_arr = _route_chunk(
-                hma, chunk_pages, lines_arr[start:stop],
-                f_nc, s_nc, f_bpc, s_bpc, n_fast_banks,
-            )
-            n_writes_fast = int(np.count_nonzero(is_fast & chunk_writes))
-            n_reads_fast = int(np.count_nonzero(is_fast)) - n_writes_fast
-            n_writes_slow = (int(np.count_nonzero(chunk_writes))
-                             - n_writes_fast)
-            n_reads_slow = (n_req - n_reads_fast - n_writes_fast
-                            - n_writes_slow)
-            reads_ct[0] += n_reads_fast
-            reads_ct[1] += n_reads_slow
-            writes_ct[0] += n_writes_fast
-            writes_ct[1] += n_writes_slow
-            read_count += n_reads_fast + n_reads_slow
-
-            _ckernel.run_chunk(
-                kernel_fn,
-                np.ascontiguousarray(trace.core[start:stop],
-                                     dtype=np.int32),
-                np.multiply(trace.gap[start:stop], spi),
-                np.ascontiguousarray(g_arr, dtype=np.int64),
-                np.ascontiguousarray(cid_arr, dtype=np.int32),
-                np.ascontiguousarray(dev, dtype=np.uint8),
-                np.ascontiguousarray(chunk_writes, dtype=np.uint8),
-                np.ascontiguousarray(row_arr, dtype=np.int64),
-                latconst,
-                core_time, windows_np, ring, ring_head, ring_len, ringcap,
-                bank_busy, bank_open, bank_hits, bank_misses,
-                bank_conflicts, chan_busy, read_lat, busy_acc, read_total,
-            )
-
-        # -- migration at the boundary --
-        window_ace = 0.0
-        if sink is not None and mechanism is not None:
-            # Sampled before the plan: planning resets the window.
-            window_ace = mechanism.window_ace_total()
-        if mechanism is not None and chunk < total_chunks - 1:
-            now = float(core_time.max())
-            to_fast, to_slow = _plan_migration(mechanism, hma, chunk, sub)
-            if to_fast or to_slow:
-                _sync_to_devices()
-                hma.migrate_pairs(to_fast, to_slow, now)
-                chan_busy = np.array(list(fast.channel_busy_until)
-                                     + list(slow.channel_busy_until))
-                busy_acc = np.array([fast.stats.busy_time,
-                                     slow.stats.busy_time])
-
-        if sink is not None:
-            sink.on_epoch(chunk, reads_ct[0], writes_ct[0],
-                          reads_ct[1], writes_ct[1], window_ace)
-
-    core_times = core_time.tolist()
-    final = 0.0
-    for c in range(num_cores):
-        t = core_times[c]
-        n = int(ring_len[c])
-        if n:
-            h = int(ring_head[c])
-            live = [float(ring[c, (h + j) % ringcap]) for j in range(n)]
-            last = max(live)
-            if last > t:
-                t = last
-            core_times[c] = t
-        if t > final:
-            final = t
-
-    restore_bank_state(fast, slow, bank_open.tolist(), bank_busy.tolist(),
-                       bank_hits.tolist(), bank_misses.tolist(),
-                       bank_conflicts.tolist())
-    _sync_to_devices()
-    return _build_result(
-        config, hma, trace, final, core_times,
-        float(read_total[0]), read_count, residency, bounds,
-    )
+    _record_run(result, sink, len(trace), total_chunks)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -783,8 +320,9 @@ class _TraceShared:
     Page/line decomposition, contiguous request arrays, per-core
     instruction tallies, and the ``gap * seconds_per_instruction``
     products depend only on the trace (and, for the last two, on
-    scalars most specs share), so they are computed once and reused —
-    per-point replay recomputes them per run.
+    scalars most specs share), so they are computed once per
+    :func:`replay_multi` call and reused by every spec.  Only the fast
+    paths read the request arrays; the scalar oracle derives its own.
     """
 
     def __init__(self, trace: Trace) -> None:
@@ -912,78 +450,68 @@ def replay_multi(
 ) -> "list[ReplayResult]":
     """Replay one trace against N system configurations.
 
-    Returns one :class:`ReplayResult` per spec, bit-identical to
-    calling :func:`replay` per spec in order (the per-point path is the
-    oracle; ``tests/sim/test_multirun_parity.py`` enforces parity).
+    Returns one :class:`ReplayResult` per spec, bit-identical to a
+    ``kernel="scalar"`` replay of each spec in order (the parity suites
+    and the differential fuzzer enforce it).
 
     Static specs (no mechanism, one interval) that share core count,
     clocking, and device geometry are stacked along a leading config
     axis and replayed in a single compiled pass; chunked specs
     (migration mechanisms or multi-interval residency sampling) replay
-    one spec at a time but share the trace-side precompute and move
-    routing into the compiled loop.  Anything the fast paths cannot
-    take — scalar-only memories, an explicit non-native ``kernel``,
-    active telemetry, or a missing C toolchain — falls back to
-    :func:`replay` per spec, which is always valid because the results
-    are identical by construction.
+    one spec at a time but share the trace-side precompute.  A spec
+    goes to the scalar oracle instead when ``kernel="scalar"``, when
+    its memory has no page tables, or when the compiled kernel cannot
+    be built (which warns once per process).
     """
+    kernel = _resolve_kernel(kernel)
+    fn = _ckernel.load() if kernel == "batched" else None
+    shared = _TraceShared(trace)
     results: "list[ReplayResult | None]" = [None] * len(specs)
-    shared: "_TraceShared | None" = None
-    static_groups: "dict[tuple, list[tuple[int, ReplaySpec]]]" = {}
-    chunked: "list[tuple[int, ReplaySpec]]" = []
+    static_groups: "dict[tuple, list[int]]" = {}
+    by_chunks: "dict[int, list[int]]" = {}
 
-    multi_fn = _ckernel.load_multi()
-    telemetry_on = _metrics.enabled()
     with span("replay_multi", specs=len(specs), requests=len(trace)):
         for i, spec in enumerate(specs):
-            try:
-                resolved = _resolve_kernel(kernel, spec.hma)
-            except (ValueError, RuntimeError):
-                resolved = None
-            eligible = (
-                resolved == "batched-native"
-                and multi_fn is not None
-                and not telemetry_on
-                and hasattr(spec.hma, "page_tables")
-            )
-            if not eligible:
-                results[i] = replay(
-                    spec.config, spec.hma, trace, times,
-                    mechanism=spec.mechanism,
-                    num_intervals=spec.num_intervals,
-                    core_windows=spec.core_windows, kernel=kernel,
-                )
-                continue
-            if shared is None:
-                shared = _TraceShared(trace)
-            if spec.mechanism is None and spec.num_intervals == 1:
-                key = _group_signature(spec)
-                static_groups.setdefault(key, []).append((i, spec))
+            if fn is None or not hasattr(spec.hma, "page_tables"):
+                with _spec_span("scalar", spec, trace):
+                    results[i] = _replay_scalar(spec, trace, times, shared)
+            elif spec.mechanism is None and spec.num_intervals == 1:
+                static_groups.setdefault(_group_signature(spec),
+                                         []).append(i)
             else:
-                chunked.append((i, spec))
+                by_chunks.setdefault(_total_chunks(spec), []).append(i)
 
-        for group in static_groups.values():
-            group_results = _replay_multi_static(
-                multi_fn, [spec for _, spec in group], trace, shared)
-            for (i, _), res in zip(group, group_results):
+        for members in static_groups.values():
+            with span("replay", kernel="static", specs=len(members),
+                      requests=len(trace), chunks=1):
+                group_results = _replay_multi_static(
+                    fn, [specs[i] for i in members], trace, shared)
+            for i, res in zip(members, group_results):
                 results[i] = res
 
-        if chunked:
-            by_chunks: "dict[int, list[tuple[int, ReplaySpec]]]" = {}
-            for i, spec in chunked:
-                sub = (spec.mechanism.subintervals_per_interval
-                       if spec.mechanism else 1)
-                by_chunks.setdefault(spec.num_intervals * sub,
-                                     []).append((i, spec))
-            for total_chunks, members in by_chunks.items():
-                cache = None
-                if len(members) > 1:
-                    starts, stops, _ = shared.chunking(total_chunks, times)
-                    cache = _ChunkCounts(shared, starts, stops)
-                for i, spec in members:
+        for total_chunks, members in by_chunks.items():
+            cache = None
+            if len(members) > 1:
+                starts, stops, _ = shared.chunking(total_chunks, times)
+                cache = _ChunkCounts(shared, starts, stops)
+            for i in members:
+                with _spec_span("chunked", specs[i], trace):
                     results[i] = _replay_multi_chunked(
-                        multi_fn, spec, trace, times, shared, cache)
+                        fn, specs[i], trace, times, shared, cache)
     return results
+
+
+def _total_chunks(spec: ReplaySpec) -> int:
+    sub = spec.mechanism.subintervals_per_interval if spec.mechanism else 1
+    return spec.num_intervals * sub
+
+
+def _spec_span(path: str, spec: ReplaySpec, trace: Trace):
+    """The ``replay`` span of one spec; ``kernel`` names the path taken."""
+    mechanism = spec.mechanism
+    return span("replay", kernel=path, requests=len(trace),
+                chunks=_total_chunks(spec),
+                mechanism=mechanism.name if mechanism else None)
 
 
 def _replay_multi_static(
@@ -1014,6 +542,7 @@ def _replay_multi_static(
     ringcap = int(windows_np.max())
 
     residency = [[_residency_snapshot(spec.hma)] for spec in specs]
+    sinks = [replay_sink(spec.hma) for spec in specs]
 
     latconst = np.empty((K, 8))
     core_time = np.zeros((K, num_cores))
@@ -1067,18 +596,17 @@ def _replay_multi_static(
         busy_acc[k] = (fast.stats.busy_time, slow.stats.busy_time)
 
     if n:
-        _ckernel.run_multi_chunk(
+        _ckernel.MultiCall(
             fn, shared.core_i32, shared.dts(spi), shared.pages,
             shared.lines, shared.writes_u8,
             LINES_PER_PAGE, LINES_PER_ROW,
             f_nc, s_nc, f_bpc, s_bpc, n_fast_banks,
-            ptd, ptf, pt_len,
             latconst, core_time, windows_np,
             ring, ring_head, ring_len, ringcap, num_cores,
             bank_busy, bank_open, bank_hits, bank_misses,
             bank_conflicts, chan_busy, nbanks, nchan,
             read_lat, busy_acc, read_total, dev_counts,
-        )
+        ).run(0, n, ptd, ptf, pt_len)
 
     bounds = np.empty(0)
     instr = shared.core_instructions(num_cores)
@@ -1117,11 +645,16 @@ def _replay_multi_static(
         slow.stats.total_read_latency = float(read_lat[k, 1])
         fast.stats.busy_time = float(busy_acc[k, 0])
         slow.stats.busy_time = float(busy_acc[k, 1])
-        out.append(_build_result(
+        if sinks[k] is not None:
+            sinks[k].on_epoch(0, fast.stats.reads, fast.stats.writes,
+                              slow.stats.reads, slow.stats.writes)
+        result = _build_result(
             spec.config, hma, trace, final, core_times,
             float(read_total[k]), reads_f + reads_s, residency[k], bounds,
             core_instructions=instr,
-        ))
+        )
+        _record_run(result, sinks[k], n, 1)
+        out.append(result)
     return out
 
 
@@ -1131,15 +664,16 @@ def _replay_multi_chunked(
 ) -> ReplayResult:
     """Chunked single-spec replay with compiled in-kernel routing.
 
-    Structure of :func:`_replay_batched_native` with the numpy
-    translation/routing stage folded into the compiled loop (the multi
-    kernel with a config axis of one): the page table is re-fetched and
-    re-sliced per chunk because migrations mutate it in place.
+    The structure of :func:`_replay_scalar` with every chunk's requests
+    handed to the compiled kernel (config axis of one): the page table
+    is re-fetched per chunk because migrations mutate it in place and
+    ``ensure_mapped`` may reallocate it.
     """
     config, hma, mechanism = spec.config, spec.hma, spec.mechanism
     sub = mechanism.subintervals_per_interval if mechanism else 1
-    total_chunks = spec.num_intervals * sub
+    total_chunks = _total_chunks(spec)
     starts, stops, bounds = shared.chunking(total_chunks, times)
+    sink = replay_sink(hma)
 
     num_cores = config.num_cores
     spi = 1.0 / (config.core.issue_width * config.core.frequency_hz)
@@ -1227,9 +761,12 @@ def _replay_multi_chunked(
         if stop > start:
             hma.ensure_mapped(chunk_pages)
             d_col, f_col = hma.page_tables()
-            call.run(start, stop, d_col, f_col,
-                     int(chunk_pages.max()) + 1)
+            call.run(start, stop, d_col, f_col, len(d_col))
 
+        window_ace = 0.0
+        if sink is not None and mechanism is not None:
+            # Sampled before the plan: planning resets the window.
+            window_ace = mechanism.window_ace_total()
         if mechanism is not None and chunk < total_chunks - 1:
             now = float(core_time.max())
             to_fast, to_slow = _plan_migration(mechanism, hma, chunk, sub)
@@ -1241,6 +778,11 @@ def _replay_multi_chunked(
                 chan_busy[f_nc:] = slow.channel_busy_until
                 busy_acc[0] = fast.stats.busy_time
                 busy_acc[1] = slow.stats.busy_time
+
+        if sink is not None:
+            _sync_to_devices()
+            sink.on_epoch(chunk, fast.stats.reads, fast.stats.writes,
+                          slow.stats.reads, slow.stats.writes, window_ace)
 
     core_times = core_time.tolist()
     final = 0.0
@@ -1261,9 +803,11 @@ def _replay_multi_chunked(
                        bank_hits.tolist(), bank_misses.tolist(),
                        bank_conflicts.tolist())
     _sync_to_devices()
-    return _build_result(
+    result = _build_result(
         config, hma, trace, final, core_times,
         float(read_total[0]),
         int(dev_counts[0, 0] + dev_counts[0, 1]), residency, bounds,
         core_instructions=shared.core_instructions(num_cores),
     )
+    _record_run(result, sink, len(trace), total_chunks)
+    return result

@@ -3,8 +3,8 @@
 Every redundant implementation pair in the simulator is compared on
 randomized :class:`~repro.verify.cases.DiffCase` scenarios:
 
-* ``replay-kernels``   — scalar oracle vs fused-Python vs compiled-C
-  replay (:mod:`repro.sim.engine`), full result digests bit-exact.
+* ``replay-kernels``   — scalar oracle vs the compiled fast path
+  (:mod:`repro.sim.engine`), full result digests bit-exact.
 * ``policy-kernels``   — ``sparse`` dict-based vs ``array`` vectorized
   migration planning, compared through whole replays so plan order,
   tie-breaks, and residency all participate.
@@ -26,7 +26,7 @@ randomized :class:`~repro.verify.cases.DiffCase` scenarios:
 * ``multirun``         — the config-batched multi-run engine
   (:func:`~repro.sim.engine.replay_multi`): a ragged config batch of
   static placements plus a migration spec must match per-point
-  :func:`~repro.sim.engine.replay` digests spec by spec.
+  scalar :func:`~repro.sim.engine.replay` digests spec by spec.
 * ``ecc``              — the ECC design space: LUT compilation
   (:func:`~repro.faults.ecc.build_ecc_luts`) vs scalar classification
   on random geometries, vectorised ``decode_batch`` vs scalar decode
@@ -149,13 +149,8 @@ def _replay_case(case: DiffCase, kernel: str,
 
 
 def check_replay_kernels(case: DiffCase) -> "str | None":
-    """Scalar oracle vs fused Python vs compiled C replay."""
-    from repro.sim import _ckernel
-
-    kernels = ["scalar", "batched-python"]
-    if _ckernel.available():
-        kernels.append("batched-native")
-    digests = {k: _replay_case(case, k) for k in kernels}
+    """Scalar oracle vs the compiled fast path (the default)."""
+    digests = {k: _replay_case(case, k) for k in ("scalar", "batched")}
     return _first_diff(digests)
 
 
@@ -609,14 +604,15 @@ def check_ecc(case: DiffCase) -> "str | None":
 
 
 def check_multirun(case: DiffCase) -> "str | None":
-    """Config-batched ``replay_multi`` vs per-point ``replay``.
+    """Config-batched ``replay_multi`` vs per-point scalar ``replay``.
 
     The case becomes a ragged config batch — the case's placement, a
     half-capacity variant, DDR-only, and (when the case carries one) a
     migration spec — replayed in one :func:`replay_multi` call and
-    compared digest-by-digest against fresh per-point replays.  The
-    batch mixes static (stacked-kernel) and chunked specs, so the
-    grouping, dispatch, and both fast paths all participate.
+    compared digest-by-digest against fresh per-point replays on the
+    scalar oracle.  The batch mixes static (stacked-kernel) and chunked
+    specs, so the grouping, dispatch, and both fast paths all
+    participate.
     """
     from repro.dram.hma import HeterogeneousMemory
     from repro.sim.engine import ReplaySpec, replay, replay_multi
@@ -647,7 +643,7 @@ def check_multirun(case: DiffCase) -> "str | None":
         oracle = replay(config, spec.hma, trace, times,
                         mechanism=spec.mechanism,
                         num_intervals=spec.num_intervals,
-                        core_windows=windows)
+                        core_windows=windows, kernel="scalar")
         diff = _first_diff({"oracle": _digest(oracle),
                             "multirun": _digest(multi[i])})
         if diff:

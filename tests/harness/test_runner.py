@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.config import scaled_config
+from repro.config import knob_overrides, scaled_config
 from repro.harness.runner import (
     parallel_map,
     prefetch_workloads,
@@ -41,6 +41,15 @@ class TestCacheKey:
         assert workload_cache_key("mcf", 1 / 512, 8000, 0) != base
         assert workload_cache_key("mcf", 1 / 1024, 4000, 0) != base
         assert workload_cache_key("mcf", 1 / 1024, 8000, 1) != base
+
+    def test_insensitive_to_cache_kernel(self):
+        """Preparation never runs the cache filter, so the filter
+        backend must not split the cache."""
+        keys = set()
+        for kernel in ("array", "sparse"):
+            with knob_overrides(cache_kernel=kernel):
+                keys.add(workload_cache_key("mcf", 1 / 1024, 8000, 0))
+        assert len(keys) == 1
 
     def test_sensitive_to_config(self):
         base = workload_cache_key("mcf", 1 / 1024, 8000, 0)

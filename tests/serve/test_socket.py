@@ -8,7 +8,7 @@ import pytest
 
 from repro.serve.client import SocketClient
 from repro.serve.engine import run_session
-from repro.serve.protocol import ERR_PROTOCOL
+from repro.serve.protocol import ERR_PROTOCOL, encode_message, line_limit
 from repro.serve.service import PlacementService
 from repro.serve.socket import ServeDaemon
 from tests.serve.conftest import inline_config, tiny_spec, tiny_traffic
@@ -114,3 +114,59 @@ class TestSocketTransport:
             assert client.stats()["states"] == {}
         daemon.request_stop()
         thread.join(timeout=15)
+
+
+def _start(tmp_path, name, **overrides):
+    svc = PlacementService(inline_config(tmp_path, **overrides))
+    daemon = ServeDaemon(svc, str(tmp_path / name))
+    thread = threading.Thread(
+        target=daemon.run, kwargs={"handle_signals": False}, daemon=True)
+    thread.start()
+    assert daemon.ready.wait(10), "daemon never came up"
+    return daemon, thread
+
+
+class TestLineLimit:
+    """Request lines up to the largest legal append are read whole."""
+
+    def test_largest_legal_append_fits_the_limit(self):
+        n = 256
+        worst = {"op": "append", "session": "t" * 64 + "-999999",
+                 "seq": 2**31, "core": [63] * n,
+                 "address": [2**63 - 1] * n, "write": [False] * n,
+                 "gap": [2**32 - 1] * n,
+                 "times": [2.2250738585072014e-308] * n}
+        assert len(encode_message(worst)) <= line_limit(n)
+
+    def test_large_append_is_acknowledged(self, daemon):
+        spec = tiny_spec("big")
+        trace, times = tiny_traffic(seed=3, accesses=2_048, spec=spec)
+        with SocketClient(daemon.path) as client:
+            sid = client.open(spec)
+            assert client.append(sid, 0, trace, times)["ok"]
+            client.commit(sid)
+            result = client.wait(sid)
+        assert result.sha == run_session(spec, trace, times).sha
+
+    def test_oversized_line_errors_and_connection_survives(self, tmp_path):
+        daemon, thread = _start(tmp_path, "limit.sock",
+                                max_chunk_accesses=16)
+        try:
+            spec = tiny_spec("over")
+            trace, times = tiny_traffic(seed=5, accesses=16, spec=spec)
+            with SocketClient(daemon.path) as client:
+                sid = client.open(spec)
+                # Three times the limit: the skip spans several reads.
+                filler = "x" * (3 * daemon.limit)
+                resp = client.request({"op": "append", "session": sid,
+                                       "pad": filler})
+                assert resp["error"] == ERR_PROTOCOL
+                assert "limit" in resp["detail"]
+                # Same connection: framing resynchronised, session intact.
+                assert client.append(sid, 0, trace, times)["ok"]
+                client.commit(sid)
+                assert client.wait(sid).sha \
+                    == run_session(spec, trace, times).sha
+        finally:
+            daemon.request_stop()
+            thread.join(timeout=15)

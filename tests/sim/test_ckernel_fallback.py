@@ -2,8 +2,9 @@
 
 A broken toolchain must cost exactly one ``cc`` invocation and one
 structured warning (carrying the compiler's stderr) per process, after
-which every replay silently uses the pure-Python fused loop — with
-results identical to the scalar oracle down to the last IEEE-754 bit.
+which every replay silently runs on the scalar oracle — with results
+identical to an explicit ``kernel="scalar"`` replay down to the last
+IEEE-754 bit.
 """
 
 import os
@@ -16,7 +17,7 @@ import pytest
 from repro.dram.hma import HeterogeneousMemory
 from repro.core.placement import PerformanceFocusedPlacement
 from repro.sim import _ckernel
-from repro.sim.engine import _resolve_kernel, replay
+from repro.sim.engine import replay
 from repro.sim.system import prepare_workload
 
 pytestmark = [pytest.mark.chaos, pytest.mark.slow]
@@ -35,7 +36,6 @@ def broken_cc(tmp_path, monkeypatch):
     script.chmod(script.stat().st_mode | stat.S_IXUSR)
     monkeypatch.setenv("CC", str(script))
     monkeypatch.setenv("REPRO_CKERNEL_DIR", str(tmp_path / "ckernel"))
-    monkeypatch.delenv("REPRO_REPLAY_NATIVE", raising=False)
     _ckernel._reset_for_tests()
     yield log
     _ckernel._reset_for_tests()  # later tests rebuild with the real cc
@@ -73,29 +73,30 @@ class TestCompileFailureCaching:
 
 
 class TestBitExactFallback:
-    def test_batched_resolves_to_python_and_matches_scalar(self, broken_cc):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore",
-                                  _ckernel.NativeKernelUnavailableWarning)
+    def test_default_replays_on_scalar_and_matches(self, broken_cc):
+        def run(kernel):
+            hma = HeterogeneousMemory(prep.config)
+            hma.install_placement(fast, prep.stats.pages)
+            return replay(prep.config, hma, wt.trace, times=wt.times,
+                          core_windows=wt.core_mlp, kernel=kernel)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            # Preparing a workload replays too; it takes the same path.
             prep = prepare_workload("mcf", accesses_per_core=1_500, seed=3)
-            assert _resolve_kernel(
-                "batched", HeterogeneousMemory(prep.config)
-            ) == "batched-python"
-            results = {}
-            for kernel in ("scalar", "batched"):
-                hma = HeterogeneousMemory(prep.config)
-                fast = PerformanceFocusedPlacement().select_fast_pages(
-                    prep.stats, prep.capacity_pages)
-                hma.install_placement(fast, prep.stats.pages)
-                wt = prep.workload_trace
-                results[kernel] = replay(prep.config, hma, wt.trace,
-                                         times=wt.times,
-                                         core_windows=wt.core_mlp,
-                                         kernel=kernel)
-        scalar, batched = results["scalar"], results["batched"]
-        assert batched.ipc == scalar.ipc
-        assert batched.total_seconds == scalar.total_seconds
-        assert batched.mean_read_latency == scalar.mean_read_latency
-        assert batched.per_core_ipc == scalar.per_core_ipc
-        assert np.array_equal(batched.interval_boundaries,
-                              scalar.interval_boundaries)
+            wt = prep.workload_trace
+            fast = PerformanceFocusedPlacement().select_fast_pages(
+                prep.stats, prep.capacity_pages)
+            defaults = [run(None) for _ in range(3)]
+            scalar = run("scalar")
+        unavailable = [w for w in caught if issubclass(
+            w.category, _ckernel.NativeKernelUnavailableWarning)]
+        assert len(unavailable) == 1
+        assert "simulated toolchain breakage" in str(unavailable[0].message)
+        assert _invocations(broken_cc) == 1
+        for got in defaults:
+            assert got.ipc == scalar.ipc
+            assert got.total_seconds == scalar.total_seconds
+            assert got.mean_read_latency == scalar.mean_read_latency
+            assert got.per_core_ipc == scalar.per_core_ipc
+            assert got.fast_residency == scalar.fast_residency

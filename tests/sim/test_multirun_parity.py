@@ -2,9 +2,9 @@
 
 ``evaluate_static_multi`` / ``evaluate_migration_multi`` (and the
 sweeps rewired onto them) must be *bit-identical* to per-point
-``evaluate_static`` / ``evaluate_migration`` — the per-point path is
-retained as the oracle, and these tests enforce the contract at every
-layer: hypothesis-driven config batches, ragged capacity batches, the
+``evaluate_static`` / ``evaluate_migration`` replayed on the scalar
+oracle, and these tests enforce the contract at every layer:
+hypothesis-driven config batches, ragged capacity batches, the
 single-spec degenerate case, migration batches across mechanisms, and
 whole FigureResults with the ``multirun`` knob on vs off.
 """
@@ -67,7 +67,13 @@ def _oracle_static(prep, spec: StaticSpec):
         p = dataclasses.replace(p, config=spec.config)
     if spec.ser_model is not None:
         p = dataclasses.replace(p, ser_model=spec.ser_model)
-    return evaluate_static(p, spec.policy)
+    with knob_overrides(replay_kernel="scalar"):
+        return evaluate_static(p, spec.policy)
+
+
+def _oracle_migration(prep, mechanism, **kwargs):
+    with knob_overrides(replay_kernel="scalar"):
+        return evaluate_migration(prep, mechanism, **kwargs)
 
 
 class TestStaticMulti:
@@ -126,7 +132,7 @@ class TestMigrationMulti:
         got = evaluate_migration_multi(prep, specs)
         for res, spec in zip(got, specs):
             # Fresh mechanism per oracle run: mechanisms are stateful.
-            want = evaluate_migration(
+            want = _oracle_migration(
                 prep, type(spec.mechanism)(),
                 num_intervals=spec.num_intervals,
                 initial_policy=spec.initial_policy)
@@ -135,7 +141,7 @@ class TestMigrationMulti:
     def test_single_spec_degenerate(self, prep):
         (got,) = evaluate_migration_multi(
             prep, [MigrationSpec(PerformanceFocusedMigration())])
-        _same(got, evaluate_migration(prep, PerformanceFocusedMigration()))
+        _same(got, _oracle_migration(prep, PerformanceFocusedMigration()))
 
 
 class TestSweepRegression:

@@ -1,10 +1,10 @@
-"""Bit-exact parity between the scalar and batched replay kernels.
+"""Bit-exact parity between the scalar oracle and the compiled replay.
 
-The batched kernels (pure-Python fused loop and the optional compiled
-one) must reproduce the scalar per-request oracle *exactly* — same
-IEEE-754 doubles, not merely close — for every migration mechanism.
-Any drift means the vectorised routing or the sequential busy-until
-resolution diverged from the model.
+The compiled fast path (page-table routing and the busy-until
+resolution in C) must reproduce the scalar per-request oracle
+*exactly* — same IEEE-754 doubles, not merely close — for every
+migration mechanism.  Any drift means the in-kernel routing or the
+sequential busy-until resolution diverged from the model.
 """
 
 import numpy as np
@@ -16,14 +16,13 @@ from repro.core.migration import (
     ReliabilityAwareFCMigration,
 )
 from repro.core.placement import PerformanceFocusedPlacement
+from repro.dram.dram_cache import DramCacheSystem
 from repro.dram.hma import FAST, HeterogeneousMemory
+from repro.obs.tracing import SpanRecorder, set_current_recorder
 from repro.sim import _ckernel
 from repro.sim.engine import KERNELS, _resolve_kernel, replay
 from repro.sim.system import prepare_workload
-
-BATCHED_KERNELS = ["batched-python"] + (
-    ["batched-native"] if _ckernel.available() else []
-)
+from repro.trace.record import Trace
 
 MECHANISMS = {
     "static": None,
@@ -79,10 +78,9 @@ def _assert_identical(ref, ref_hma, got, got_hma):
 
 
 @pytest.mark.parametrize("mech_name", list(MECHANISMS))
-@pytest.mark.parametrize("kernel", BATCHED_KERNELS)
-def test_batched_matches_scalar(prep, kernel, mech_name):
+def test_batched_matches_scalar(prep, mech_name):
     ref, ref_hma = _run(prep, "scalar", mech_name)
-    got, got_hma = _run(prep, kernel, mech_name)
+    got, got_hma = _run(prep, "batched", mech_name)
     _assert_identical(ref, ref_hma, got, got_hma)
 
 
@@ -93,43 +91,67 @@ def test_default_kernel_matches_scalar(prep):
     _assert_identical(ref, ref_hma, got, got_hma)
 
 
+def _replay_paths(config, hma, trace):
+    """Replay; returns the result and the ``kernel`` attribute of every
+    ``replay`` span it opened (the paths taken)."""
+    recorder = SpanRecorder()
+    previous = set_current_recorder(recorder)
+    try:
+        result = replay(config, hma, trace)
+    finally:
+        set_current_recorder(previous)
+    return result, [s.attrs["kernel"] for s in recorder.spans
+                    if s.name == "replay"]
+
+
+def _tiny_trace(n=64):
+    rng = np.random.default_rng(0)
+    return Trace(
+        core=rng.integers(0, 4, n).astype(np.uint16),
+        address=(rng.integers(0, 64, n) * 4096).astype(np.uint64),
+        is_write=rng.random(n) < 0.3,
+        gap=rng.integers(0, 50, n).astype(np.uint32),
+    )
+
+
 class TestKernelResolution:
-    def _hma(self, tiny_config):
-        return HeterogeneousMemory(tiny_config)
+    def test_default_prefers_batched(self):
+        assert _resolve_kernel(None) == "batched"
 
-    def test_default_prefers_batched(self, tiny_config):
-        resolved = _resolve_kernel(None, self._hma(tiny_config))
-        assert resolved in ("batched-native", "batched-python")
-
-    def test_env_override(self, tiny_config, monkeypatch):
+    def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_REPLAY_KERNEL", "scalar")
-        assert _resolve_kernel(None, self._hma(tiny_config)) == "scalar"
+        assert _resolve_kernel(None) == "scalar"
 
-    def test_explicit_scalar(self, tiny_config):
-        assert _resolve_kernel("scalar", self._hma(tiny_config)) == "scalar"
+    def test_explicit_scalar(self):
+        assert _resolve_kernel("scalar") == "scalar"
 
-    def test_unknown_kernel_rejected(self, tiny_config):
-        with pytest.raises(ValueError):
-            _resolve_kernel("vectorised", self._hma(tiny_config))
+    def test_unknown_kernel_rejected(self):
+        for name in ("vectorised", "batched-python"):
+            with pytest.raises(ValueError):
+                _resolve_kernel(name)
 
     def test_all_names_exported(self):
-        assert set(KERNELS) == {"batched", "scalar", "batched-native",
-                                "batched-python"}
+        assert set(KERNELS) == {"batched", "scalar"}
 
     def test_batch_api_required_for_batched(self, tiny_config):
-        class NoBatch:
-            pass
+        """A memory without page tables replays on the scalar oracle."""
+        _, paths = _replay_paths(tiny_config, DramCacheSystem(tiny_config),
+                                 _tiny_trace())
+        assert paths == ["scalar"]
 
-        assert _resolve_kernel(None, NoBatch()) == "scalar"
-        with pytest.raises(ValueError):
-            _resolve_kernel("batched", NoBatch())
-
+    @pytest.mark.skipif(not _ckernel.available(),
+                        reason="compiled replay kernel unavailable")
     def test_native_disabled_falls_back(self, tiny_config, monkeypatch):
+        """No compiled kernel: the default path is the scalar oracle."""
+        trace = _tiny_trace()
+        native, paths = _replay_paths(
+            tiny_config, HeterogeneousMemory(tiny_config), trace)
+        assert paths == ["static"]
         # monkeypatch restores the memo afterwards, so the disabled
         # probe does not leak into other tests.
-        monkeypatch.setattr(_ckernel, "_cached", None)
-        monkeypatch.setenv("REPRO_REPLAY_NATIVE", "0")
-        hma = self._hma(tiny_config)
-        assert _resolve_kernel("batched", hma) == "batched-python"
-        with pytest.raises(RuntimeError):
-            _resolve_kernel("batched-native", hma)
+        monkeypatch.setattr(_ckernel, "_cached", (None, "disabled"))
+        missing, paths = _replay_paths(
+            tiny_config, HeterogeneousMemory(tiny_config), trace)
+        assert paths == ["scalar"]
+        assert missing.total_seconds == native.total_seconds
+        assert missing.per_core_ipc == native.per_core_ipc

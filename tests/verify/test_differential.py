@@ -1,8 +1,8 @@
 """Differential fuzzer: clean-tree agreement, mutation smoke, shrinking.
 
 The mutation smoke is the acceptance test of the whole gate: a
-deliberately injected off-by-one in the shared routing stage of the
-batched replay kernels must be caught by the fuzzer, shrunk, and
+deliberately injected line aliasing in the trace precompute that only
+the compiled fast path reads must be caught by the fuzzer, shrunk, and
 dumped as a repro artifact that replays.
 """
 
@@ -200,16 +200,21 @@ class TestEccFamily:
 class TestMutationSmoke:
     """A planted bug must be caught, shrunk, and dumped."""
 
+    @staticmethod
+    def _plant_line_bug(monkeypatch):
+        """Halve every line-in-page the fast path sees (row aliasing)."""
+        orig = engine._TraceShared.__init__
+
+        def mutated(self, trace):
+            orig(self, trace)
+            self.lines = self.lines // 2
+
+        monkeypatch.setattr(engine._TraceShared, "__init__", mutated)
+
     @pytest.fixture
     def planted_route_bug(self, monkeypatch):
-        """Off-by-one row aliasing in the batched kernels' routing."""
-        orig = engine._route_chunk
-
-        def mutated(*args, **kwargs):
-            dev, is_fast, gid, cid, row = orig(*args, **kwargs)
-            return dev, is_fast, gid, cid, row // 2
-
-        monkeypatch.setattr(engine, "_route_chunk", mutated)
+        """Line aliasing in the fast path's shared trace precompute."""
+        self._plant_line_bug(monkeypatch)
 
     def test_fuzzer_catches_and_shrinks(self, planted_route_bug, tmp_path):
         results = run_fuzz(
@@ -228,13 +233,7 @@ class TestMutationSmoke:
         assert differential.check_replay_kernels(case) is not None
 
     def test_artifact_replays_clean_after_fix(self, tmp_path, monkeypatch):
-        orig = engine._route_chunk
-
-        def mutated(*args, **kwargs):
-            dev, is_fast, gid, cid, row = orig(*args, **kwargs)
-            return dev, is_fast, gid, cid, row // 2
-
-        monkeypatch.setattr(engine, "_route_chunk", mutated)
+        self._plant_line_bug(monkeypatch)
         run_fuzz(num_cases=3, seed=0, artifact_dir=str(tmp_path),
                  checks={"replay-kernels":
                          differential.check_replay_kernels})
@@ -244,7 +243,7 @@ class TestMutationSmoke:
         live = replay_artifact(artifacts[0])
         assert not live.passed
         # ...and reports fixed once the mutation is reverted.
-        monkeypatch.setattr(engine, "_route_chunk", orig)
+        monkeypatch.undo()
         fixed = replay_artifact(artifacts[0])
         assert fixed.passed
 
