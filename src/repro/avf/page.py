@@ -132,25 +132,18 @@ class IntervalProfile:
         return sum(iv.get(page, 0.0) for iv in self.interval_avf)
 
 
-def profile_intervals(
-    trace: Trace,
-    times: np.ndarray,
-    boundaries: np.ndarray,
-    assume_live_at_start: bool = True,
-) -> IntervalProfile:
-    """Split a trace at logical-time ``boundaries`` and compute each
-    interval's per-page AVF contribution.
+def _ace_spans(
+    trace: Trace, times: np.ndarray, assume_live_at_start: bool
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Line-sorted previous-access analysis of a trace.
 
-    ACE spans crossing a boundary are attributed to the interval in
-    which the read occurs — the same attribution the streaming
-    tracker's :meth:`~repro.avf.tracker.AceTracker.reset_window` makes.
+    Returns ``(lines, times, contrib)`` in line-sorted (stable) order:
+    ``contrib`` is each read's ACE span since the line's previous
+    access (window start for a line's first access, 0 for writes).
     """
     lines = trace.lines.astype(np.int64)
-    is_write = trace.is_write
-
-    # Previous-access time per line (window start for first accesses).
     order = np.argsort(lines, kind="stable")
-    sl, st, sw = lines[order], times[order], is_write[order]
+    sl, st, sw = lines[order], times[order], trace.is_write[order]
     first = np.empty(len(sl), dtype=bool)
     if len(sl):
         first[0] = True
@@ -163,7 +156,29 @@ def profile_intervals(
     contrib = np.where(~sw, st - prev, 0.0)
     if not assume_live_at_start:
         contrib[first & ~sw] = 0.0
+    return sl, st, contrib
 
+
+def profile_intervals(
+    trace: Trace,
+    times: np.ndarray,
+    boundaries: np.ndarray,
+    assume_live_at_start: bool = True,
+) -> IntervalProfile:
+    """Reference oracle: per-interval page AVF by a per-span dict loop.
+
+    Splits a trace at logical-time ``boundaries`` and computes each
+    interval's per-page AVF contribution.  ACE spans crossing a
+    boundary are attributed to the interval in which the read occurs —
+    the same attribution the streaming tracker's
+    :meth:`~repro.avf.tracker.AceTracker.reset_window` makes.
+
+    Production code profiles intervals through
+    :class:`IntervalProfileBuilder`; this loop is kept as its oracle,
+    and the ``intervals`` differential-fuzz family holds the two
+    bit-identical.
+    """
+    sl, st, contrib = _ace_spans(trace, times, assume_live_at_start)
     interval_of = np.searchsorted(boundaries, st, side="right")
     n_intervals = len(boundaries) + 1
     page_of = sl // LINES_PER_PAGE
@@ -180,17 +195,17 @@ def profile_intervals(
 class IntervalProfileBuilder:
     """Re-bucket one trace's ACE contributions for many boundary sets.
 
-    :func:`profile_intervals` recomputes the line-sorted previous-access
-    analysis *and* walks a Python dict loop for every call; when a sweep
-    profiles the same trace at many interval counts (``fig13``) or for
-    many configs at one count, both costs repeat.  The builder hoists
-    the boundary-independent analysis (the sort dominates) into
-    ``__init__`` and replaces the dict loop with grouped ``np.add.at``
-    accumulation per call.
+    The interval profiler every production path runs.  The
+    boundary-independent analysis (the line sort dominates) happens
+    once in ``__init__``; each boundary set then costs one grouped
+    ``np.bincount`` instead of the oracle's per-span dict loop.  A
+    :class:`~repro.sim.system.PreparedWorkload` caches one builder
+    (:meth:`~repro.sim.system.PreparedWorkload.interval_builder`), so
+    every migration point of a workload shares the sort.
 
     Parity: contributions are accumulated in the same line-sorted
-    stream order as the oracle's dict loop (``np.add.at`` applies its
-    additions one at a time in index order), and keys come out in
+    stream order as the oracle's dict loop (``np.bincount`` adds each
+    bin's weights one at a time in index order), and keys come out in
     first-occurrence order, so :meth:`profile` returns interval dicts
     with bit-identical values *and* iteration order.
     :meth:`intervals_arrays` exposes the same data as ``(pages,
@@ -199,22 +214,7 @@ class IntervalProfileBuilder:
 
     def __init__(self, trace: Trace, times: np.ndarray,
                  assume_live_at_start: bool = True) -> None:
-        lines = trace.lines.astype(np.int64)
-        is_write = trace.is_write
-        order = np.argsort(lines, kind="stable")
-        sl, st, sw = lines[order], times[order], is_write[order]
-        first = np.empty(len(sl), dtype=bool)
-        if len(sl):
-            first[0] = True
-            first[1:] = sl[1:] != sl[:-1]
-        prev = np.empty_like(st)
-        if len(sl):
-            prev[1:] = st[:-1]
-            prev[0] = 0.0
-            prev[first] = 0.0
-        contrib = np.where(~sw, st - prev, 0.0)
-        if not assume_live_at_start:
-            contrib[first & ~sw] = 0.0
+        sl, st, contrib = _ace_spans(trace, times, assume_live_at_start)
         active = contrib > 0
         #: Read time, page, and scaled contribution per active span, in
         #: the oracle's line-sorted stream order.

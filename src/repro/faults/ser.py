@@ -152,7 +152,9 @@ class SerModel:
 
         ``fast_residency[i]`` is the set of pages resident in fast
         memory during interval ``i``; each interval's AVF contribution
-        is charged to the device holding the page at that time.
+        is charged to the device holding the page at that time.  This
+        dict loop is the reference oracle of :meth:`ser_dynamic_arrays`,
+        which the production paths run.
         """
         if len(fast_residency) != intervals.num_intervals:
             raise ValueError(
@@ -182,6 +184,28 @@ class SerModel:
         order, so the result is bit-identical to :meth:`ser_dynamic` on
         the equivalent :class:`~repro.avf.page.IntervalProfile`.
         """
+        products = self._interval_products(interval_pairs, fast_residency)
+        # One value per (interval, page) in oracle order; accumulate
+        # sequentially so the float64 rounding matches the scalar loop.
+        return _sequential_sum(np.concatenate(products)) if products else 0.0
+
+    def ser_dynamic_series(
+        self,
+        interval_pairs: "list[tuple[np.ndarray, np.ndarray]]",
+        fast_residency: "list[set[int]]",
+    ) -> "list[float]":
+        """Per-interval SER contributions under migration (telemetry).
+
+        The same ``(pages, avf)`` arrays and accounting as
+        :meth:`ser_dynamic_arrays`, summed per interval for epoch
+        snapshot series: each entry is bit-identical to the dict loop
+        of :meth:`ser_dynamic` restricted to that interval.
+        """
+        return [_sequential_sum(p) for p in
+                self._interval_products(interval_pairs, fast_residency)]
+
+    def _interval_products(self, interval_pairs, fast_residency):
+        """Per-interval ``avf * FIT`` arrays, FIT by residency device."""
         if len(fast_residency) != len(interval_pairs):
             raise ValueError(
                 "need one residency set per interval "
@@ -189,9 +213,7 @@ class SerModel:
             )
         products: "list[np.ndarray]" = []
         for (pages, values), resident in zip(interval_pairs, fast_residency):
-            if not len(pages):
-                continue
-            if resident:
+            if len(pages) and resident:
                 resident_arr = np.fromiter(resident, dtype=np.int64,
                                            count=len(resident))
                 in_fast = np.isin(pages, resident_arr)
@@ -199,40 +221,13 @@ class SerModel:
                 in_fast = np.zeros(len(pages), dtype=bool)
             products.append(values * np.where(
                 in_fast, self.fit_fast_per_page, self.fit_slow_per_page))
-        if not products:
-            return 0.0
-        # One value per (interval, page) in oracle order; accumulate
-        # sequentially so the float64 rounding matches the scalar loop.
-        flat = (products[0] if len(products) == 1
-                else np.concatenate(products))
-        seq = np.empty(len(flat) + 1)
-        seq[0] = 0.0
-        seq[1:] = flat
-        return float(np.add.accumulate(seq)[-1])
+        return products
 
-    def ser_dynamic_series(
-        self,
-        intervals: IntervalProfile,
-        fast_residency: "list[set[int]]",
-    ) -> "list[float]":
-        """Per-interval SER contributions under migration (telemetry).
 
-        Same accounting as :meth:`ser_dynamic` sliced by interval, for
-        epoch snapshot series; :meth:`ser_dynamic` keeps its own single
-        accumulation so its float rounding is untouched.
-        """
-        if len(fast_residency) != intervals.num_intervals:
-            raise ValueError(
-                "need one residency set per interval "
-                f"({intervals.num_intervals}), got {len(fast_residency)}"
-            )
-        series = []
-        for avf_map, resident in zip(intervals.interval_avf, fast_residency):
-            total = 0.0
-            for page, avf in avf_map.items():
-                if page in resident:
-                    total += avf * self.fit_fast_per_page
-                else:
-                    total += avf * self.fit_slow_per_page
-            series.append(total)
-        return series
+def _sequential_sum(values: np.ndarray) -> float:
+    """``0.0 + v0 + v1 + ...`` left to right, like a scalar ``+=`` loop
+    (``np.sum`` would pair-wise sum and round differently)."""
+    seq = np.empty(len(values) + 1)
+    seq[0] = 0.0
+    seq[1:] = values
+    return float(np.add.accumulate(seq)[-1])

@@ -195,7 +195,7 @@ def run_session(
     rates are recomputed analytically — bit-identical either way,
     since the analytic fault simulator is deterministic.
     """
-    from repro.avf.page import profile_intervals, profile_trace
+    from repro.avf.page import IntervalProfileBuilder, profile_trace
     from repro.core.placement import PerformanceFocusedPlacement
     from repro.dram.hma import HeterogeneousMemory
     from repro.faults.ser import SerModel
@@ -229,9 +229,9 @@ def run_session(
         num_intervals=spec.num_intervals if mechanism else 1,
     )
     if mechanism is not None:
-        intervals = profile_intervals(trace, times,
-                                      result.interval_boundaries)
-        ser = ser_model.ser_dynamic(intervals, result.fast_residency)
+        pairs = IntervalProfileBuilder(trace, times).intervals_arrays(
+            result.interval_boundaries)
+        ser = ser_model.ser_dynamic_arrays(pairs, result.fast_residency)
     else:
         ser = ser_model.ser_static(stats, fast_pages)
     digest = replay_digest(result)

@@ -673,10 +673,43 @@ def run_filter_chunk(fn, core, line, is_write,
                      out_src, out_line, out_write) -> int:
     """Invoke the compiled filter loop; returns the residual count.
 
-    All arrays must be C-contiguous with the dtypes of the binder;
-    ``out_*`` must hold at least ``3 * len(core)`` slots (worst case:
-    L1-victim write-back + fill + L2-victim write-back per access).
+    The L1D state holds one ``nsets * assoc`` block per core, and the
+    core count is ``len(l1_stats) // 4``; ``out_*`` must hold at least
+    ``3 * len(core)`` slots (worst case: L1-victim write-back + fill +
+    L2-victim write-back per access).  Every array's dtype, layout and
+    size, the core ids and the line numbers are checked first: a failed
+    check raises :class:`ValueError` before C runs.
     """
+    n = len(core)
+    ncores = len(l1_stats) // 4
+    if min(l1_nsets, l1_assoc, l2_nsets, l2_assoc) < 1:
+        raise ValueError("cache geometry needs at least one set and way")
+    l1_ways = ncores * int(l1_nsets) * int(l1_assoc)
+    l2_ways = int(l2_nsets) * int(l2_assoc)
+    for arr, dtype, size, name in (
+            (core, np.int32, n, "core"), (line, np.int64, n, "line"),
+            (is_write, np.uint8, n, "is_write"),
+            (l1_tag, np.int64, l1_ways, "l1_tag"),
+            (l1_dirty, np.uint8, l1_ways, "l1_dirty"),
+            (l1_stamp, np.int64, l1_ways, "l1_stamp"),
+            (l2_tag, np.int64, l2_ways, "l2_tag"),
+            (l2_dirty, np.uint8, l2_ways, "l2_dirty"),
+            (l2_stamp, np.int64, l2_ways, "l2_stamp"),
+            (counter, np.int64, 1, "counter"),
+            (l1_stats, np.int64, 4 * ncores, "l1_stats"),
+            (l2_stats, np.int64, 4, "l2_stats")):
+        _require(arr, dtype, name, size)
+    for arr, dtype, name in ((out_src, np.int64, "out_src"),
+                             (out_line, np.int64, "out_line"),
+                             (out_write, np.uint8, "out_write")):
+        _require(arr, dtype, name)
+        if arr.size < 3 * n:
+            raise ValueError(f"{name} holds {arr.size} slots, the chunk "
+                             f"needs {3 * n}")
+    if n and not (0 <= int(core.min()) and int(core.max()) < ncores):
+        raise ValueError(f"core ids outside [0, {ncores})")
+    if n and int(line.min()) < 0:
+        raise ValueError("negative line numbers")
     count = ctypes.c_int64(0)
     fn(len(core), _pi32(core), _pi64(line), _pu8(is_write),
        int(l1_nsets), int(l1_assoc), _pi64(l1_tag), _pu8(l1_dirty),

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.avf.page import PageStats, profile_intervals, profile_trace
+from repro.avf.page import IntervalProfileBuilder, PageStats, profile_trace
 from repro.config import SystemConfig, scaled_config
 from repro.core.annotations import AnnotationPlan, plan_annotations
 from repro.core.migration import MigrationMechanism
@@ -59,6 +59,26 @@ class PreparedWorkload:
     @property
     def name(self) -> str:
         return self.workload.name
+
+    def interval_builder(self) -> IntervalProfileBuilder:
+        """The trace's :class:`~repro.avf.page.IntervalProfileBuilder`.
+
+        Built on first use and cached: it depends only on the trace and
+        times, so every migration point of this workload re-buckets one
+        line-sorted analysis.  The cache is dropped on pickling, so the
+        prepared-workload cache and worker handoffs carry only inputs.
+        """
+        builder = self.__dict__.get("_interval_builder")
+        if builder is None:
+            wt = self.workload_trace
+            builder = IntervalProfileBuilder(wt.trace, wt.times)
+            self._interval_builder = builder
+        return builder
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_interval_builder", None)
+        return state
 
 
 def resolve_workload(name: str):
@@ -133,38 +153,31 @@ def prepare_workload(
 def evaluate_static(
     prep: PreparedWorkload, policy: PlacementPolicy
 ) -> ExperimentResult:
-    """IPC and SER of one static placement on a prepared workload."""
-    fast_pages = policy.select_fast_pages(prep.stats, prep.capacity_pages)
-    hma = HeterogeneousMemory(prep.config)
-    hma.install_placement(fast_pages, prep.stats.pages)
-    wt = prep.workload_trace
-    result = replay(prep.config, hma, wt.trace, wt.times, core_windows=wt.core_mlp)
-    ser = prep.ser_model.ser_static(prep.stats, fast_pages)
-    base = prep.ddr_baseline
-    return ExperimentResult(
-        workload=prep.name,
-        scheme=policy.name,
-        ipc=result.ipc,
-        ser=ser,
-        ipc_vs_ddr=result.ipc / base.ipc if base.ipc else 0.0,
-        ser_vs_ddr=ser / base.ser if base.ser else 0.0,
-        mean_read_latency=result.mean_read_latency,
-    )
+    """IPC and SER of one static placement on a prepared workload.
 
-
-def _attach_run_series(tag: str, result, ser_series) -> None:
-    """Hand a replay's epoch snapshots to the active telemetry run.
-
-    Annotates the series with per-epoch SER when the lengths line up
-    (one residency set per epoch) before attaching it under ``tag``.
+    The single-spec case of :func:`evaluate_static_multi`.
     """
+    return _evaluate_static_multi(prep, [StaticSpec(policy)])[0]
+
+
+def _dynamic_ser(prep: PreparedWorkload, tag: str, result, pairs) -> float:
+    """Dynamic SER of one migration replay from its interval arrays.
+
+    With telemetry on (the replay carries epoch snapshots), the
+    per-epoch SER series computed from the same arrays annotates the
+    snapshot series, which is attached to the active run under ``tag``.
+    """
+    ser_model = prep.ser_model
+    ser = ser_model.ser_dynamic_arrays(pairs, result.fast_residency)
     ctx = current_run()
     series = result.snapshots
-    if ctx is None or series is None:
-        return
-    if ser_series is not None and len(ser_series) == len(series):
-        series.annotate("ser", ser_series)
-    ctx.add_series(tag, series)
+    if ctx is not None and series is not None:
+        ser_series = ser_model.ser_dynamic_series(pairs,
+                                                  result.fast_residency)
+        if len(ser_series) == len(series):
+            series.annotate("ser", ser_series)
+        ctx.add_series(tag, series)
+    return ser
 
 
 def evaluate_migration(
@@ -177,38 +190,12 @@ def evaluate_migration(
 
     Per the paper, the run starts from a good placement (the oracular
     static placement of the corresponding flavour) to avoid cold-start
-    effects, then migrates at every interval boundary.
+    effects, then migrates at every interval boundary.  The
+    single-spec case of :func:`evaluate_migration_multi`.
     """
-    if initial_policy is None:
-        initial_policy = PerformanceFocusedPlacement()
-    fast_pages = initial_policy.select_fast_pages(prep.stats, prep.capacity_pages)
-    hma = HeterogeneousMemory(prep.config)
-    hma.install_placement(fast_pages, prep.stats.pages)
-
-    wt = prep.workload_trace
-    result = replay(
-        prep.config, hma, wt.trace, wt.times,
-        mechanism=mechanism, num_intervals=num_intervals,
-        core_windows=wt.core_mlp,
-    )
-    intervals = profile_intervals(wt.trace, wt.times, result.interval_boundaries)
-    ser = prep.ser_model.ser_dynamic(intervals, result.fast_residency)
-    if result.snapshots is not None:
-        _attach_run_series(
-            f"{prep.name}:{mechanism.name}", result,
-            prep.ser_model.ser_dynamic_series(intervals,
-                                              result.fast_residency))
-    base = prep.ddr_baseline
-    return ExperimentResult(
-        workload=prep.name,
-        scheme=mechanism.name,
-        ipc=result.ipc,
-        ser=ser,
-        ipc_vs_ddr=result.ipc / base.ipc if base.ipc else 0.0,
-        ser_vs_ddr=ser / base.ser if base.ser else 0.0,
-        migrations=hma.migration_stats.total,
-        mean_read_latency=result.mean_read_latency,
-    )
+    spec = MigrationSpec(mechanism, num_intervals=num_intervals,
+                         initial_policy=initial_policy)
+    return _evaluate_migration_multi(prep, [spec])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +282,15 @@ def evaluate_static_multi(
     batched through :func:`repro.sim.engine.replay_multi` (deduplicated
     when specs differ only in fault model) and each result is composed
     with the spec's SER model.  Results are element-wise bit-identical
-    to per-point :func:`evaluate_static` calls on
-    ``replace_config(prep, spec.config)`` preps.
+    to :func:`repro.verify.reference.reference_static`, the per-point
+    oracle built from the reference implementation of every stage.
     """
+    return _evaluate_static_multi(prep, specs)
+
+
+def _evaluate_static_multi(prep, specs):
+    # The body behind both public static evaluators; they call it, not
+    # each other, so an outside wrapper sees every point exactly once.
     from repro.sim.engine import ReplaySpec, replay_multi
 
     wt = prep.workload_trace
@@ -352,11 +345,17 @@ def evaluate_migration_multi(
     """:func:`evaluate_migration` for N mechanism points in one pass.
 
     One :func:`repro.sim.engine.replay_multi` call covers every spec,
-    and one :class:`~repro.avf.page.IntervalProfileBuilder` serves the
-    dynamic-SER accounting of every interval count.  Results are
-    element-wise bit-identical to per-point :func:`evaluate_migration`.
+    and the prep's cached :meth:`PreparedWorkload.interval_builder`
+    serves the dynamic-SER accounting of every interval count.  Results
+    are element-wise bit-identical to
+    :func:`repro.verify.reference.reference_migration`.
     """
-    from repro.avf.page import IntervalProfileBuilder
+    return _evaluate_migration_multi(prep, specs)
+
+
+def _evaluate_migration_multi(prep, specs):
+    # The body behind both public migration evaluators (see
+    # _evaluate_static_multi).
     from repro.sim.engine import ReplaySpec, replay_multi
 
     wt = prep.workload_trace
@@ -376,34 +375,18 @@ def evaluate_migration_multi(
 
     replays = replay_multi(replay_specs, wt.trace, wt.times)
 
-    # The builder depends only on the prep's (immutable) trace and
-    # times, so cache it on the prep across evaluate calls.
-    builder = getattr(prep, "_interval_builder", None)
-    if builder is None:
-        builder = IntervalProfileBuilder(wt.trace, wt.times)
-        prep._interval_builder = builder
+    builder = prep.interval_builder()
     pairs_memo: dict = {}
     base = prep.ddr_baseline
     out = []
     for spec, rspec, result in zip(specs, replay_specs, replays):
         bounds = result.interval_boundaries
-        if result.snapshots is not None:
-            # Telemetry needs the dict-form profile for the epoch
-            # series; reuse the builder rather than re-profiling.
-            intervals = builder.profile(bounds)
-            ser = prep.ser_model.ser_dynamic(intervals, result.fast_residency)
-            _attach_run_series(
-                f"{prep.name}:{spec.mechanism.name}", result,
-                prep.ser_model.ser_dynamic_series(intervals,
-                                                  result.fast_residency))
-        else:
-            key = bounds.tobytes()
-            pairs = pairs_memo.get(key)
-            if pairs is None:
-                pairs = builder.intervals_arrays(bounds)
-                pairs_memo[key] = pairs
-            ser = prep.ser_model.ser_dynamic_arrays(pairs,
-                                                    result.fast_residency)
+        key = bounds.tobytes()
+        pairs = pairs_memo.get(key)
+        if pairs is None:
+            pairs = pairs_memo[key] = builder.intervals_arrays(bounds)
+        ser = _dynamic_ser(prep, f"{prep.name}:{spec.mechanism.name}",
+                           result, pairs)
         out.append(ExperimentResult(
             workload=prep.name,
             scheme=spec.mechanism.name,
@@ -480,13 +463,10 @@ def evaluate_annotation_migration(
         mechanism=mechanism, num_intervals=num_intervals,
         core_windows=wt.core_mlp,
     )
-    intervals = profile_intervals(wt.trace, wt.times, result.interval_boundaries)
-    ser = prep.ser_model.ser_dynamic(intervals, result.fast_residency)
-    if result.snapshots is not None:
-        _attach_run_series(
-            f"{prep.name}:annotations+{mechanism.name}", result,
-            prep.ser_model.ser_dynamic_series(intervals,
-                                              result.fast_residency))
+    pairs = prep.interval_builder().intervals_arrays(
+        result.interval_boundaries)
+    ser = _dynamic_ser(prep, f"{prep.name}:annotations+{mechanism.name}",
+                       result, pairs)
     base = prep.ddr_baseline
     return (
         ExperimentResult(

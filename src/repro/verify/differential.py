@@ -27,6 +27,10 @@ randomized :class:`~repro.verify.cases.DiffCase` scenarios:
   (:func:`~repro.sim.engine.replay_multi`): a ragged config batch of
   static placements plus a migration spec must match per-point
   scalar :func:`~repro.sim.engine.replay` digests spec by spec.
+* ``intervals``        — the interval profiler every production path
+  runs (:class:`~repro.avf.page.IntervalProfileBuilder`) vs the
+  dict-loop :func:`~repro.avf.page.profile_intervals` oracle, and the
+  array-form dynamic SER and per-epoch series vs the dict loops.
 * ``ecc``              — the ECC design space: LUT compilation
   (:func:`~repro.faults.ecc.build_ecc_luts`) vs scalar classification
   on random geometries, vectorised ``decode_batch`` vs scalar decode
@@ -57,6 +61,7 @@ from repro.verify.cases import (
     save_artifact,
     shrink_case,
 )
+from repro.trace.record import Trace
 from repro.verify.verdict import CheckResult
 
 
@@ -651,6 +656,70 @@ def check_multirun(case: DiffCase) -> "str | None":
     return None
 
 
+def _interval_variants(case: DiffCase, rng: np.random.Generator):
+    """``(label, trace, times, boundaries, assume_live)`` edge cases."""
+    trace, times = build_trace(case)
+    n = case.num_intervals
+    inside = np.sort(rng.uniform(times[0], times[-1], n - 1))
+    outside = np.concatenate(([-1.0, -1e-9], inside, [1.0, 2.0]))
+    write_only = trace.pages % 3 == 0
+    written = Trace(core=trace.core, address=trace.address,
+                    is_write=trace.is_write | write_only, gap=trace.gap)
+    yield "in-range", trace, times, inside, True
+    yield "no-boundaries", trace, times, np.empty(0), True
+    yield "outside-[0,1)", trace, times, outside, True
+    yield "not-live-at-start", trace, times, inside, False
+    yield "write-only-pages", written, times, inside, True
+    yield "empty-trace", trace.slice(0, 0), times[:0], inside, True
+
+
+def check_intervals(case: DiffCase) -> "str | None":
+    """``IntervalProfileBuilder`` vs the dict-loop ``profile_intervals``.
+
+    For each edge-case variant of the case's trace, the builder's
+    :meth:`~repro.avf.page.IntervalProfileBuilder.profile` must equal
+    the oracle's interval dicts in values and key order, its
+    ``intervals_arrays`` must hold the same pages and values, and
+    ``ser_dynamic_arrays`` / ``ser_dynamic_series`` on random
+    residencies must equal the dict loops bit for bit.
+    """
+    from repro.avf.page import IntervalProfileBuilder, profile_intervals
+    from repro.faults.ser import SerModel
+    from repro.verify.reference import reference_ser_series
+
+    rng = np.random.default_rng(case.seed + 3)
+    model = SerModel(fit_fast_per_page=float(rng.uniform(1e-3, 1.0)),
+                     fit_slow_per_page=float(rng.uniform(1e-4, 0.1)))
+    for label, trace, times, bounds, live in _interval_variants(case, rng):
+        oracle = profile_intervals(trace, times, bounds,
+                                   assume_live_at_start=live)
+        builder = IntervalProfileBuilder(trace, times,
+                                         assume_live_at_start=live)
+        want = [list(iv.items()) for iv in oracle.interval_avf]
+        got = [list(iv.items()) for iv in builder.profile(bounds).interval_avf]
+        if got != want:
+            return f"{label}: builder profile differs from the oracle"
+        pairs = builder.intervals_arrays(bounds)
+        as_lists = [list(zip(p.tolist(), v.tolist())) for p, v in pairs]
+        if as_lists != want:
+            return f"{label}: intervals_arrays differ from the oracle"
+        residency = [
+            {int(p) for p in d if rng.random() < case.placed_fraction}
+            for d in oracle.interval_avf]
+        ser_dict = model.ser_dynamic(oracle, residency)
+        ser_arrays = model.ser_dynamic_arrays(pairs, residency)
+        if float(ser_dict).hex() != float(ser_arrays).hex():
+            return (f"{label}: ser_dynamic_arrays={ser_arrays!r} "
+                    f"ser_dynamic={ser_dict!r}")
+        series = model.ser_dynamic_series(pairs, residency)
+        want_series = reference_ser_series(model, oracle, residency)
+        if [float(x).hex() for x in series] != \
+                [float(x).hex() for x in want_series]:
+            return (f"{label}: ser_dynamic_series={series!r} "
+                    f"dict loop={want_series!r}")
+    return None
+
+
 #: All differential check families, in fuzz order.
 CHECKS = {
     "replay-kernels": check_replay_kernels,
@@ -662,6 +731,7 @@ CHECKS = {
     "shm-roundtrip": check_shm_roundtrip,
     "serve": check_serve,
     "multirun": check_multirun,
+    "intervals": check_intervals,
     "frontier": check_frontier,
     "ecc": check_ecc,
 }

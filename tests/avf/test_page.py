@@ -2,10 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.avf.page import PageStats, profile_intervals, profile_trace
+from repro.avf.page import (
+    IntervalProfileBuilder,
+    PageStats,
+    profile_intervals,
+    profile_trace,
+)
 from repro.config import LINE_SIZE, LINES_PER_PAGE, PAGE_SIZE
+from repro.faults.ser import SerModel
 from repro.trace.record import Trace, TraceRecord
+from repro.verify.reference import reference_ser_series
 
 
 def trace_of(entries):
@@ -133,3 +142,54 @@ class TestProfileIntervals:
         trace, times = trace_of([(0, 0, True), (0, 0, False)])
         iv = profile_intervals(trace, times, np.empty(0))
         assert iv.num_intervals == 1
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestBuilderMatchesOracle:
+    """The builder every production path runs vs the dict-loop oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entries=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 7),
+                                   st.booleans()), max_size=60),
+        boundaries=st.lists(st.floats(-0.5, 1.5), max_size=5),
+        live=st.booleans(),
+        write_only=st.sets(st.integers(0, 5), max_size=3),
+        resident_seed=st.integers(0, 2**16),
+    )
+    def test_profile_arrays_and_ser(self, entries, boundaries, live,
+                                    write_only, resident_seed):
+        entries = [(p, l, w or p in write_only) for p, l, w in entries]
+        if entries:
+            trace, times = trace_of(entries)
+        else:
+            trace, times = Trace.empty(), np.empty(0)
+        bounds = np.sort(np.asarray(boundaries, dtype=np.float64))
+        oracle = profile_intervals(trace, times, bounds,
+                                   assume_live_at_start=live)
+        builder = IntervalProfileBuilder(trace, times,
+                                         assume_live_at_start=live)
+
+        profile = builder.profile(bounds)
+        assert profile.num_intervals == oracle.num_intervals
+        for got, want in zip(profile.interval_avf, oracle.interval_avf):
+            assert list(got) == list(want)  # key order
+            assert _bits(got.values()) == _bits(want.values())
+
+        pairs = builder.intervals_arrays(bounds)
+        assert len(pairs) == oracle.num_intervals
+        for (pages, values), want in zip(pairs, oracle.interval_avf):
+            assert pages.tolist() == list(want)
+            assert _bits(values) == _bits(want.values())
+
+        rng = np.random.default_rng(resident_seed)
+        residency = [{p for p in d if rng.random() < 0.5}
+                     for d in oracle.interval_avf]
+        model = SerModel(fit_fast_per_page=0.37, fit_slow_per_page=0.0123)
+        assert _bits([model.ser_dynamic_arrays(pairs, residency)]) == \
+            _bits([model.ser_dynamic(oracle, residency)])
+        assert _bits(model.ser_dynamic_series(pairs, residency)) == \
+            _bits(reference_ser_series(model, oracle, residency))

@@ -53,3 +53,46 @@ def test_telemetry_off_is_bit_identical(prep):
     assert traced.ipc == plain.ipc
     assert traced.ser == plain.ser
     assert traced.migrations == plain.migrations
+
+
+def test_multi_ser_path_identical_under_telemetry(prep, tmp_path):
+    """Telemetry rides the production array SER path: results stay
+    bit-identical and the per-epoch SER series equals the dict loop."""
+    import dataclasses
+
+    from repro.avf.page import profile_intervals
+    from repro.core.migration import PerformanceFocusedMigration
+    from repro.core.placement import PerformanceFocusedPlacement
+    from repro.dram.hma import HeterogeneousMemory
+    from repro.sim.engine import replay
+    from repro.sim.system import MigrationSpec, evaluate_migration_multi
+    from repro.verify.reference import reference_ser_series
+
+    mechs = (ReliabilityAwareFCMigration, PerformanceFocusedMigration)
+
+    def specs():
+        return [MigrationSpec(m(), num_intervals=4) for m in mechs]
+
+    plain = evaluate_migration_multi(prep, specs())
+    with run_context("multi", obs_dir=str(tmp_path), enabled=True):
+        traced = evaluate_migration_multi(prep, specs())
+    assert [dataclasses.astuple(r) for r in traced] == \
+        [dataclasses.astuple(r) for r in plain]
+
+    reg = RunRegistry(str(tmp_path / "registry.sqlite"))
+    run_id = reg.resolve("multi").run_id
+    wt = prep.workload_trace
+    for mech in mechs:
+        hma = HeterogeneousMemory(prep.config)
+        hma.install_placement(
+            PerformanceFocusedPlacement().select_fast_pages(
+                prep.stats, prep.capacity_pages), prep.stats.pages)
+        oracle = replay(prep.config, hma, wt.trace, wt.times,
+                        mechanism=mech(), num_intervals=4,
+                        core_windows=wt.core_mlp, kernel="scalar")
+        intervals = profile_intervals(wt.trace, wt.times,
+                                      oracle.interval_boundaries)
+        want = reference_ser_series(prep.ser_model, intervals,
+                                    oracle.fast_residency)
+        got = reg.series(run_id, f"mcf:{mech().name}").metric_series("ser")
+        assert got == want

@@ -1,8 +1,10 @@
-"""The replay kernel's input contract: bad arrays raise, never reach C.
+"""The native kernels' input contracts: bad arrays raise, never reach C.
 
-:class:`~repro.sim._ckernel.MultiCall` hands raw pointers to compiled
-code, so every array is checked for dtype, C-contiguity and size, and
-every page table for shape and bounds, before the kernel runs.
+:class:`~repro.sim._ckernel.MultiCall` and
+:func:`~repro.sim._ckernel.run_filter_chunk` hand raw pointers to
+compiled code, so every array is checked for dtype, C-contiguity and
+size (and every page table for shape and bounds, every core id and
+line for range) before the kernel runs.
 """
 
 import numpy as np
@@ -98,3 +100,55 @@ def test_request_range_checked():
 def test_bad_bound_arrays_raise(overrides, match):
     with pytest.raises(ValueError, match=match):
         _call(**overrides)
+
+
+def _filter_args(n=4, **overrides):
+    """One core, a 2x2 L1D and a 4x2 L2 over ``n`` reads."""
+    args = dict(
+        core=np.zeros(n, dtype=np.int32),
+        line=np.arange(n, dtype=np.int64),
+        is_write=np.zeros(n, dtype=np.uint8),
+        l1_nsets=2, l1_assoc=2,
+        l1_tag=np.full(4, -1, dtype=np.int64),
+        l1_dirty=np.zeros(4, dtype=np.uint8),
+        l1_stamp=np.zeros(4, dtype=np.int64), l1_walloc=1, l1_wback=1,
+        l2_nsets=4, l2_assoc=2,
+        l2_tag=np.full(8, -1, dtype=np.int64),
+        l2_dirty=np.zeros(8, dtype=np.uint8),
+        l2_stamp=np.zeros(8, dtype=np.int64), l2_walloc=1, l2_wback=1,
+        counter=np.zeros(1, dtype=np.int64),
+        l1_stats=np.zeros(4, dtype=np.int64),
+        l2_stats=np.zeros(4, dtype=np.int64),
+        out_src=np.empty(3 * n, dtype=np.int64),
+        out_line=np.empty(3 * n, dtype=np.int64),
+        out_write=np.empty(3 * n, dtype=np.uint8),
+    )
+    args.update(overrides)
+    return args
+
+
+def test_valid_filter_chunk_runs():
+    fn = _ckernel.load_filter()
+    if fn is None:
+        pytest.skip("compiled cache-filter kernel unavailable")
+    args = _filter_args()
+    assert _ckernel.run_filter_chunk(fn, **args) == 4  # four cold misses
+    assert args["out_line"][:4].tolist() == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("overrides, match", [
+    ({"out_line": np.empty(3 * 4 - 1, dtype=np.int64)},
+     "out_line holds 11 slots"),
+    ({"core": np.full(4, 1, dtype=np.int32)}, "core ids"),
+    ({"line": np.full(4, -1, dtype=np.int64)}, "negative line"),
+    ({"l1_tag": np.full(3, -1, dtype=np.int64)}, "l1_tag holds 3"),
+    ({"l2_stamp": np.zeros(8, dtype=np.int32)}, "l2_stamp must be a int64"),
+    ({"is_write": np.zeros(8, dtype=np.uint8)[::2]}, "C-contiguous"),
+    ({"l2_nsets": 0}, "at least one set"),
+])
+def test_bad_filter_arrays_never_reach_the_kernel(overrides, match):
+    calls = []
+    with pytest.raises(ValueError, match=match):
+        _ckernel.run_filter_chunk(lambda *a: calls.append(a),
+                                  **_filter_args(**overrides))
+    assert not calls

@@ -1,9 +1,11 @@
 """Parity: config-batched multi-run engine vs the per-point oracle.
 
 ``evaluate_static_multi`` / ``evaluate_migration_multi`` (and the
-sweeps rewired onto them) must be *bit-identical* to per-point
-``evaluate_static`` / ``evaluate_migration`` replayed on the scalar
-oracle, and these tests enforce the contract at every layer:
+per-point ``evaluate_static`` / ``evaluate_migration``, their
+single-spec case) must be *bit-identical* to the reference evaluators
+of :mod:`repro.verify.reference` — scalar replay, per-point
+``select_fast_pages``, the dict-loop ``profile_intervals`` and
+``ser_dynamic`` — and these tests enforce the contract at every layer:
 hypothesis-driven config batches, ragged capacity batches, the
 single-spec degenerate case, migration batches across mechanisms, and
 whole FigureResults with the ``multirun`` knob on vs off.
@@ -39,6 +41,7 @@ from repro.sim.system import (
     evaluate_static_multi,
     prepare_workload,
 )
+from repro.verify.reference import reference_migration, reference_static
 
 ACCESSES = 2_000
 POLICIES = (
@@ -62,25 +65,21 @@ def _same(got, want):
 
 def _oracle_static(prep, spec: StaticSpec):
     """Per-point evaluation of one StaticSpec through the oracle."""
-    p = prep
-    if spec.config is not None:
-        p = dataclasses.replace(p, config=spec.config)
-    if spec.ser_model is not None:
-        p = dataclasses.replace(p, ser_model=spec.ser_model)
-    with knob_overrides(replay_kernel="scalar"):
-        return evaluate_static(p, spec.policy)
+    return reference_static(prep, spec.policy, config=spec.config,
+                            ser_model=spec.ser_model)
 
 
 def _oracle_migration(prep, mechanism, **kwargs):
-    with knob_overrides(replay_kernel="scalar"):
-        return evaluate_migration(prep, mechanism, **kwargs)
+    return reference_migration(prep, mechanism, **kwargs)
 
 
 class TestStaticMulti:
     def test_single_spec_degenerate(self, prep):
         spec = StaticSpec(BalancedPlacement())
         (got,) = evaluate_static_multi(prep, [spec])
-        _same(got, _oracle_static(prep, spec))
+        want = _oracle_static(prep, spec)
+        _same(got, want)
+        _same(evaluate_static(prep, spec.policy), want)
 
     def test_ragged_capacity_batch(self, prep):
         """Mixed capacities (including pathological ones) in one batch."""
@@ -141,7 +140,9 @@ class TestMigrationMulti:
     def test_single_spec_degenerate(self, prep):
         (got,) = evaluate_migration_multi(
             prep, [MigrationSpec(PerformanceFocusedMigration())])
-        _same(got, _oracle_migration(prep, PerformanceFocusedMigration()))
+        want = _oracle_migration(prep, PerformanceFocusedMigration())
+        _same(got, want)
+        _same(evaluate_migration(prep, PerformanceFocusedMigration()), want)
 
 
 class TestSweepRegression:

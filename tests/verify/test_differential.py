@@ -197,6 +197,38 @@ class TestEccFamily:
         assert all(r.name.startswith("ecc") for r in report.results)
 
 
+class TestIntervalsFamily:
+    """The interval-profiler check family: builder vs dict-loop oracle."""
+
+    def test_registered(self):
+        assert "intervals" in CHECKS
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_clean_case_passes(self, seed):
+        assert differential.check_intervals(_some_case(seed)) is None
+
+    def test_reordered_pages_are_caught(self, monkeypatch, tmp_path):
+        # Plant a bug in the builder only: each interval's pages come
+        # out in reverse first-occurrence order.  Values per page are
+        # unchanged, so only the key-order comparison can see it.
+        from repro.avf.page import IntervalProfileBuilder
+
+        orig = IntervalProfileBuilder.intervals_arrays
+
+        def reversed_order(self, boundaries):
+            return [(p[::-1], v[::-1]) for p, v in orig(self, boundaries)]
+
+        monkeypatch.setattr(IntervalProfileBuilder, "intervals_arrays",
+                            reversed_order)
+        results = run_fuzz(num_cases=2, seed=0, artifact_dir=str(tmp_path),
+                           checks={"intervals": differential.check_intervals})
+        assert not any(r.passed for r in results)
+        artifacts = glob.glob(str(tmp_path / "divergence-intervals-*.json"))
+        assert artifacts
+        monkeypatch.undo()
+        assert replay_artifact(artifacts[0]).passed
+
+
 class TestMutationSmoke:
     """A planted bug must be caught, shrunk, and dumped."""
 
