@@ -33,6 +33,8 @@ import tempfile
 import threading
 import warnings
 
+import numpy as np
+
 
 class NativeMeaUnavailableWarning(RuntimeWarning):
     """The compiled MEA kernel could not be built or loaded.
@@ -372,6 +374,37 @@ def _pi64(a):
     return a.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
 
 
+def _is_i64(arr) -> bool:
+    return (type(arr) is np.ndarray and arr.dtype == np.int64
+            and arr.flags.c_contiguous)
+
+
+def check_chunk_args(pages, capacity: int, entry_pages, entry_counts,
+                     n_entries: int) -> None:
+    """The compiled MEA loops' input contract, checked before C runs.
+
+    The kernels write the map into ``entry_pages``/``entry_counts`` up
+    to ``capacity`` slots and read ``pages`` through a raw pointer, so
+    both entry arrays must be C-contiguous int64 with at least
+    ``capacity`` slots, ``0 <= n_entries <= capacity``, and the chunk a
+    C-contiguous one-dimensional int64 array.  Every check is O(1) —
+    it runs once per chunk, never per element.
+    """
+    for name, arr in (("entry_pages", entry_pages),
+                      ("entry_counts", entry_counts)):
+        if not _is_i64(arr):
+            raise ValueError(f"{name} must be a C-contiguous int64 array")
+        if arr.size < capacity:
+            raise ValueError(f"{name} holds {arr.size} slots, the map "
+                             f"needs {capacity}")
+    if not 0 <= n_entries <= capacity:
+        raise ValueError(f"entry count {n_entries} outside "
+                         f"[0, {capacity}]")
+    if not (_is_i64(pages) and pages.ndim == 1):
+        raise ValueError("chunk pages must be a one-dimensional "
+                         "C-contiguous int64 array")
+
+
 def run_chunk(fn, pages, capacity, entry_pages, entry_counts,
               n_entries: int) -> int:
     """Invoke the compiled loop; returns the new entry count.
@@ -379,8 +412,10 @@ def run_chunk(fn, pages, capacity, entry_pages, entry_counts,
     ``entry_pages``/``entry_counts`` are C-contiguous int64 arrays of
     ``capacity`` slots holding the map in insertion order (the first
     ``n_entries`` slots valid), mutated in place.  ``entry_counts``
-    carries residual counts on entry and exit.
+    carries residual counts on entry and exit.  Arguments that break
+    :func:`check_chunk_args` raise before the kernel runs.
     """
+    check_chunk_args(pages, capacity, entry_pages, entry_counts, n_entries)
     count = ctypes.c_int64(n_entries)
     fn(len(pages), _pi64(pages), int(capacity),
        _pi64(entry_pages), _pi64(entry_counts), ctypes.byref(count))

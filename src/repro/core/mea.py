@@ -301,6 +301,8 @@ class ArrayMeaTracker:
         self.stream_length += n
         native = _mea_native.load()
         if native is not None:
+            _mea_native.check_chunk_args(arr, self.capacity, self._pages,
+                                         self._counts, self._n)
             self._c_n.value = self._n
             native(n, arr.ctypes.data, self.capacity,
                    self._entry_ptrs[0], self._entry_ptrs[1],

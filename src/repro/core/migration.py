@@ -129,6 +129,13 @@ class MigrationMechanism(ABC):
     #: Planner backend; see the module docstring.
     policy_kernel: str = "sparse"
 
+    def __new__(cls, *args, **kwargs):
+        # Constructor arguments, the value key of an evaluation point
+        # (repro.sim.points.component_key).
+        self = super().__new__(cls)
+        self._init_args = (args, kwargs)
+        return self
+
     def _use_array_kernel(self, hma) -> bool:
         return self.policy_kernel == "array" and hasattr(hma, "fast_mask")
 
@@ -535,6 +542,8 @@ class CrossCountersMigration(MigrationMechanism):
         lo = int(pages.min())
         if lo < 0:
             raise ValueError("page numbers must be non-negative")
+        _mea_native.check_chunk_args(pages, mea.capacity, mea._pages,
+                                     mea._counts, mea._n)
         reads, writes = counters.tables_for_native(int(pages.max()))
         mea.stream_length += n
         mea._c_n.value = mea._n
@@ -895,6 +904,10 @@ class ToleranceTieredMigration(MigrationMechanism):
             self.tracker = AceTracker()
         self.max_swap_fraction = max_swap_fraction
         self._weights = self._coerce_weights(tolerance)
+        # Key points by the effective weights, not the map behind them.
+        self._init_args = ((), dict(tolerance=self._weights,
+                                    max_swap_fraction=max_swap_fraction,
+                                    policy_kernel=policy_kernel))
 
     @staticmethod
     def _coerce_weights(tolerance) -> "np.ndarray | None":

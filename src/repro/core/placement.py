@@ -40,6 +40,13 @@ class PlacementPolicy(ABC):
     #: Short identifier used in reports and experiment tables.
     name: str = "base"
 
+    def __new__(cls, *args, **kwargs):
+        # Constructor arguments, the value key of an evaluation point
+        # (repro.sim.points.component_key).
+        self = super().__new__(cls)
+        self._init_args = (args, kwargs)
+        return self
+
     @abstractmethod
     def select_fast_pages(self, stats: PageStats, capacity_pages: int) -> np.ndarray:
         """Pages to install in the fast memory (at most the capacity)."""

@@ -373,7 +373,14 @@ def main(argv: "list[str] | None" = None) -> int:
             multirun=getattr(args, "multirun", None),
             telemetry=True if getattr(args, "telemetry", False) else None,
             obs_dir=getattr(args, "obs_dir", None)):
-        return _dispatch(parser, args)
+        if args.command not in ("run", "export"):
+            return _dispatch(parser, args)
+        # One evaluation-point table for the whole command: a point
+        # several experiments need is replayed once.
+        from repro.sim.points import point_table
+
+        with point_table():
+            return _dispatch(parser, args)
 
 
 def _dispatch(parser: argparse.ArgumentParser, args) -> int:

@@ -307,6 +307,7 @@ def _run_experiment_worker(item):
     from repro.config import knob_overrides
     from repro.harness.experiments import EXPERIMENTS, WorkloadCache
     from repro.obs import run_context
+    from repro.sim.points import point_table
 
     cache = WorkloadCache(accesses_per_core=accesses, scale=scale,
                           seed=seed, cache_dir=cache_dir)
@@ -316,11 +317,12 @@ def _run_experiment_worker(item):
         kwargs["cache"] = cache
     # Scoped overrides, not os.environ: each worker gets exactly the
     # knobs the CLI passed for *this* run, and nothing leaks into later
-    # runs or sibling workers.
+    # runs or sibling workers.  The point table is the caller's when it
+    # runs in-process, else one per experiment.
     with knob_overrides(fault_trials=fault_trials,
                         policy_kernel=policy_kernel,
                         cache_kernel=cache_kernel,
-                        multirun=multirun):
+                        multirun=multirun), point_table():
         with run_context(
                 name,
                 config={"experiment": name, "accesses": accesses,

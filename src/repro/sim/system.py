@@ -32,6 +32,7 @@ from repro.core.placement import PerformanceFocusedPlacement, PlacementPolicy
 from repro.dram.hma import HeterogeneousMemory
 from repro.faults.ser import SerModel
 from repro.obs import current_run
+from repro.sim import points
 from repro.sim.engine import replay
 from repro.sim.results import ExperimentResult
 from repro.trace.workloads import Workload, WorkloadTrace
@@ -65,8 +66,10 @@ class PreparedWorkload:
 
         Built on first use and cached: it depends only on the trace and
         times, so every migration point of this workload re-buckets one
-        line-sorted analysis.  The cache is dropped on pickling, so the
-        prepared-workload cache and worker handoffs carry only inputs.
+        line-sorted analysis.  The cache (like the evaluation-point
+        digest of :func:`repro.sim.points.prep_digest`) is dropped on
+        pickling, so the prepared-workload cache and worker handoffs
+        carry only inputs.
         """
         builder = self.__dict__.get("_interval_builder")
         if builder is None:
@@ -78,6 +81,7 @@ class PreparedWorkload:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_interval_builder", None)
+        state.pop("_point_digest", None)
         return state
 
 
@@ -160,24 +164,29 @@ def evaluate_static(
     return _evaluate_static_multi(prep, [StaticSpec(policy)])[0]
 
 
-def _dynamic_ser(prep: PreparedWorkload, tag: str, result, pairs) -> float:
-    """Dynamic SER of one migration replay from its interval arrays.
+def _dynamic_ser(prep: PreparedWorkload, result, pairs):
+    """Dynamic SER of one migration replay from its interval arrays,
+    and the replay's epoch series.
 
     With telemetry on (the replay carries epoch snapshots), the
     per-epoch SER series computed from the same arrays annotates the
-    snapshot series, which is attached to the active run under ``tag``.
+    snapshot series; :func:`_attach_series` hands it to the active run.
     """
     ser_model = prep.ser_model
     ser = ser_model.ser_dynamic_arrays(pairs, result.fast_residency)
-    ctx = current_run()
     series = result.snapshots
-    if ctx is not None and series is not None:
+    if current_run() is not None and series is not None:
         ser_series = ser_model.ser_dynamic_series(pairs,
                                                   result.fast_residency)
         if len(ser_series) == len(series):
             series.annotate("ser", ser_series)
+    return ser, series
+
+
+def _attach_series(tag: str, series) -> None:
+    ctx = current_run()
+    if ctx is not None:
         ctx.add_series(tag, series)
-    return ser
 
 
 def evaluate_migration(
@@ -291,6 +300,19 @@ def evaluate_static_multi(
 def _evaluate_static_multi(prep, specs):
     # The body behind both public static evaluators; they call it, not
     # each other, so an outside wrapper sees every point exactly once.
+    # Under an open point table, only points it lacks are computed.
+    def key_of(table, spec):
+        base = points.prep_key(prep, spec.config, spec.ser_model)
+        policy = points.component_key(spec.policy)
+        if base is None or policy is None:
+            return None
+        return ("static", base, policy)
+
+    return points.lookup(list(specs), key_of,
+                         lambda todo: _compute_static(prep, todo))
+
+
+def _compute_static(prep, specs):
     from repro.sim.engine import ReplaySpec, replay_multi
 
     wt = prep.workload_trace
@@ -355,16 +377,43 @@ def evaluate_migration_multi(
 
 def _evaluate_migration_multi(prep, specs):
     # The body behind both public migration evaluators (see
-    # _evaluate_static_multi).
+    # _evaluate_static_multi).  A hit re-attaches the point's stored
+    # epoch series, so every run holds the series it asked for.
+    def key_of(table, spec):
+        if not table.claim(spec.mechanism):
+            return None
+        base = points.prep_key(prep)
+        parts = (points.component_key(spec.mechanism),
+                 points.component_key(_initial_policy(spec)),
+                 points.value_key(spec.num_intervals))
+        if base is None or any(part is None for part in parts):
+            return None
+        return ("migration", base, parts, points.telemetry_key())
+
+    entries = points.lookup(list(specs), key_of,
+                            lambda todo: _compute_migration(prep, todo))
+    out = []
+    for spec, (result, series) in zip(specs, entries):
+        _attach_series(f"{prep.name}:{spec.mechanism.name}", series)
+        out.append(result)
+    return out
+
+
+def _initial_policy(spec: MigrationSpec) -> PlacementPolicy:
+    if spec.initial_policy is not None:
+        return spec.initial_policy
+    return PerformanceFocusedPlacement()
+
+
+def _compute_migration(prep, specs):
+    """``(ExperimentResult, epoch series or None)`` per spec."""
     from repro.sim.engine import ReplaySpec, replay_multi
 
     wt = prep.workload_trace
     rankings: dict = {}
-    default_policy = PerformanceFocusedPlacement()
     replay_specs = []
     for spec in specs:
-        policy = (spec.initial_policy if spec.initial_policy is not None
-                  else default_policy)
+        policy = _initial_policy(spec)
         fast_pages = _select_fast_pages(
             policy, prep.stats, prep.capacity_pages, rankings)
         hma = HeterogeneousMemory(prep.config)
@@ -385,9 +434,8 @@ def _evaluate_migration_multi(prep, specs):
         pairs = pairs_memo.get(key)
         if pairs is None:
             pairs = pairs_memo[key] = builder.intervals_arrays(bounds)
-        ser = _dynamic_ser(prep, f"{prep.name}:{spec.mechanism.name}",
-                           result, pairs)
-        out.append(ExperimentResult(
+        ser, series = _dynamic_ser(prep, result, pairs)
+        out.append((ExperimentResult(
             workload=prep.name,
             scheme=spec.mechanism.name,
             ipc=result.ipc,
@@ -396,7 +444,7 @@ def _evaluate_migration_multi(prep, specs):
             ser_vs_ddr=ser / base.ser if base.ser else 0.0,
             migrations=rspec.hma.migration_stats.total,
             mean_read_latency=result.mean_read_latency,
-        ))
+        ), series))
     return out
 
 
@@ -404,6 +452,19 @@ def evaluate_annotations(
     prep: PreparedWorkload, avf_quantile: float = 0.7
 ) -> "tuple[ExperimentResult, AnnotationPlan]":
     """IPC/SER of the program-annotation placement (paper Section 7)."""
+    def key_of(table, quantile):
+        base = points.prep_key(prep)
+        quantile = points.value_key(quantile)
+        if base is None or quantile is None:
+            return None
+        return ("annotations", base, quantile)
+
+    return points.lookup(
+        [avf_quantile], key_of,
+        lambda todo: [_compute_annotations(prep, q) for q in todo])[0]
+
+
+def _compute_annotations(prep, avf_quantile):
     plan = plan_annotations(
         prep.workload_trace, prep.stats, prep.capacity_pages,
         avf_quantile=avf_quantile,
@@ -465,8 +526,8 @@ def evaluate_annotation_migration(
     )
     pairs = prep.interval_builder().intervals_arrays(
         result.interval_boundaries)
-    ser = _dynamic_ser(prep, f"{prep.name}:annotations+{mechanism.name}",
-                       result, pairs)
+    ser, series = _dynamic_ser(prep, result, pairs)
+    _attach_series(f"{prep.name}:annotations+{mechanism.name}", series)
     base = prep.ddr_baseline
     return (
         ExperimentResult(

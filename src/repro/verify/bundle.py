@@ -4,13 +4,17 @@ Preparing a workload (trace synthesis, profiling, the all-DDR
 baseline) dominates gate runtime, and both gates score the same
 schemes on the same preps, so one :class:`EvalBundle` is built once
 per ``repro-hma verify`` run and handed to both.  Scheme evaluations
-are memoised on the bundle for the same reason.
+run through the bundle's own evaluation-point table
+(:mod:`repro.sim.points`) for the same reason: a point both gates ask
+for is replayed once, and points are keyed by value, so two policies
+that share a display name never collide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.sim.points import PointTable, point_table
 from repro.sim.system import (
     PreparedWorkload,
     evaluate_migration,
@@ -27,14 +31,13 @@ BUNDLE_SEED = 1234
 
 @dataclass
 class EvalBundle:
-    """Prepared workloads plus memoised scheme evaluations."""
+    """Prepared workloads plus the table of their evaluated points."""
 
     preps: "dict[str, PreparedWorkload]"
     accesses_per_core: int
     num_intervals: int
     quick: bool
-    _static: dict = field(default_factory=dict)
-    _migration: dict = field(default_factory=dict)
+    points: PointTable = field(default_factory=PointTable)
 
     @classmethod
     def build(cls, quick: bool = False, progress=None) -> "EvalBundle":
@@ -54,21 +57,17 @@ class EvalBundle:
         return tuple(self.preps)
 
     def static(self, workload: str, policy):
-        """Memoised :func:`evaluate_static` result."""
-        key = (workload, policy.name)
-        if key not in self._static:
-            self._static[key] = evaluate_static(self.preps[workload], policy)
-        return self._static[key]
+        """:func:`evaluate_static` through the bundle's point table."""
+        with point_table(self.points):
+            return evaluate_static(self.preps[workload], policy)
 
-    def migration(self, workload: str, mechanism_factory, name: str):
-        """Memoised :func:`evaluate_migration` result.
+    def migration(self, workload: str, mechanism_factory):
+        """:func:`evaluate_migration` through the bundle's point table.
 
         ``mechanism_factory`` must build a *fresh* mechanism (they are
-        stateful); ``name`` keys the memo.
+        stateful); equal mechanisms share one table entry.
         """
-        key = (workload, name)
-        if key not in self._migration:
-            self._migration[key] = evaluate_migration(
+        with point_table(self.points):
+            return evaluate_migration(
                 self.preps[workload], mechanism_factory(),
                 num_intervals=self.num_intervals)
-        return self._migration[key]

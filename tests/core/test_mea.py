@@ -337,3 +337,112 @@ class TestArrayTracker:
         assert mea.stream_length == 0
         with pytest.raises(ValueError):
             ArrayMeaTracker(capacity=0)
+
+
+class _RecordingKernel:
+    """Stands in for a compiled MEA loop and records every call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, *args):
+        self.calls.append(args)
+
+
+class TestNativeContract:
+    """Bad kernel inputs raise in Python; the compiled loop never runs.
+
+    Every entry point that hands the MEA map to C — ``run_chunk`` (the
+    dict tracker's native path), ``ArrayMeaTracker.record_many`` and
+    the fused cross-counters update — checks its arrays first.
+    """
+
+    CAPACITY = 4
+
+    def _entries(self, slots=CAPACITY, dtype="int64"):
+        import numpy as np
+
+        return (np.zeros(slots, dtype=dtype), np.zeros(slots, dtype=dtype))
+
+    def _chunk(self, dtype="int64"):
+        import numpy as np
+
+        return np.arange(8, dtype=dtype)
+
+    def test_run_chunk_accepts_valid_arguments(self):
+        from repro.core import _mea_native
+
+        kernel = _RecordingKernel()
+        assert _mea_native.run_chunk(kernel, self._chunk(), self.CAPACITY,
+                                     *self._entries(), 2) == 2
+        assert len(kernel.calls) == 1
+
+    @pytest.mark.parametrize("case", [
+        "short-entries", "int32-entries", "strided-entries",
+        "negative-count", "count-over-capacity", "int32-chunk",
+        "strided-chunk", "2d-chunk",
+    ])
+    def test_run_chunk_rejects(self, case):
+        import numpy as np
+
+        from repro.core import _mea_native
+
+        chunk = self._chunk()
+        pages, counts = self._entries()
+        n = 2
+        if case == "short-entries":
+            pages, counts = self._entries(self.CAPACITY - 1)
+        elif case == "int32-entries":
+            pages, counts = self._entries(dtype="int32")
+        elif case == "strided-entries":
+            counts = np.zeros(2 * self.CAPACITY, dtype=np.int64)[::2]
+        elif case == "negative-count":
+            n = -1
+        elif case == "count-over-capacity":
+            n = self.CAPACITY + 1
+        elif case == "int32-chunk":
+            chunk = self._chunk("int32")
+        elif case == "strided-chunk":
+            chunk = np.arange(16, dtype=np.int64)[::2]
+        else:
+            chunk = np.arange(8, dtype=np.int64).reshape(2, 4)
+        kernel = _RecordingKernel()
+        with pytest.raises(ValueError):
+            _mea_native.run_chunk(kernel, chunk, self.CAPACITY, pages,
+                                  counts, n)
+        assert kernel.calls == []
+
+    @pytest.mark.parametrize("field", ["_n", "_pages", "_counts"])
+    def test_array_tracker_rejects_corrupt_map(self, field, monkeypatch):
+        import numpy as np
+
+        from repro.core import _mea_native
+        from repro.core.mea import ArrayMeaTracker
+
+        kernel = _RecordingKernel()
+        monkeypatch.setattr(_mea_native, "load", lambda: kernel)
+        mea = ArrayMeaTracker(capacity=self.CAPACITY)
+        if field == "_n":
+            mea._n = self.CAPACITY + 1
+        else:
+            setattr(mea, field, np.zeros(self.CAPACITY - 1, dtype=np.int64))
+        with pytest.raises(ValueError):
+            mea.record_many(self._chunk())
+        assert kernel.calls == []
+
+    def test_fused_cc_update_rejects_corrupt_map(self, monkeypatch):
+        import numpy as np
+
+        from repro.core import _mea_native
+        from repro.core.migration import CrossCountersMigration
+
+        kernel = _RecordingKernel()
+        monkeypatch.setattr(_mea_native, "load_cc", lambda: kernel)
+        # No plain MEA kernel: only the fused call's check can raise.
+        monkeypatch.setattr(_mea_native, "load", lambda: None)
+        mech = CrossCountersMigration(mea_capacity=self.CAPACITY,
+                                      policy_kernel="array")
+        mech.mea._n = -1
+        with pytest.raises(ValueError):
+            mech.observe_chunk(self._chunk(), np.zeros(8, dtype=bool))
+        assert kernel.calls == []

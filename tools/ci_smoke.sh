@@ -38,6 +38,10 @@
 #    ladder (`repro-hma verify --quick`: cross-kernel differential
 #    fuzzer, paper-invariant checks, EXPERIMENTS.md shape gate), and
 #    the line-coverage gate against tools/coverage_baseline.json.
+# 9. Runs the point-table smoke: `run all` at 2,000 accesses/core in
+#    one process (one evaluation-point table for the whole run) and
+#    with `--jobs 2` (one table per experiment) must print
+#    byte-identical output, so a wrong cross-experiment hit is a diff.
 #
 # Environment:
 #   REPRO_SMOKE_ACCESSES  accesses/core for the kernel benchmark (default 4000)
@@ -68,6 +72,13 @@ echo "== verification ladder (repro-hma verify --quick) =="
 python -m repro.harness.cli verify --quick \
     --artifact-dir "$workdir/artifacts" \
     --json "$workdir/verify.json"
+
+echo "== point table smoke (one table per run vs per experiment) =="
+python -m repro.harness.cli run all --accesses 2000 --seed 0 \
+    > "$workdir/run_all_one_table.txt"
+python -m repro.harness.cli run all --accesses 2000 --seed 0 --jobs 2 \
+    > "$workdir/run_all_per_experiment.txt"
+diff "$workdir/run_all_one_table.txt" "$workdir/run_all_per_experiment.txt"
 
 echo "== coverage gate =="
 python tools/coverage_gate.py
