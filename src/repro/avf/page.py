@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.config import LINES_PER_PAGE
-from repro.avf.tracker import line_ace_times
+from repro.avf.tracker import (
+    _line_sorted_spans,
+    _run_codes,
+    _run_starts,
+    _run_sums,
+)
+from repro.obs.tracing import span
 from repro.trace.record import Trace
 
 
@@ -66,8 +72,15 @@ class PageStats:
         return float(self.avf.sum() / self.footprint_pages)
 
     def index_of(self, pages) -> np.ndarray:
-        """Positions of ``pages`` within this profile's arrays."""
+        """Positions of ``pages`` within this profile's arrays.
+
+        Raises :class:`KeyError` if any of ``pages`` is not profiled.
+        """
         idx = np.searchsorted(self.pages, pages)
+        if not len(self.pages):
+            if np.size(idx):
+                raise KeyError("some pages are not in this profile")
+            return idx
         idx = np.clip(idx, 0, len(self.pages) - 1)
         if not np.all(self.pages[idx] == pages):
             raise KeyError("some pages are not in this profile")
@@ -85,35 +98,37 @@ def profile_trace(
     ``times`` is the logical time of every request in ``[0, 1)``; the
     window length is 1, so per-line ACE time is already a per-line AVF
     and a page's AVF is the mean over its 64 lines.
+
+    Everything comes from one line-sorted stream: it is page-sorted
+    too, so lines and pages are runs, and per-line ACE, per-page AVF
+    and per-page counts are run-length sums.
+    :func:`repro.verify.reference.reference_profile_trace` is the
+    oracle, bit for bit.
     """
-    lines = trace.lines.astype(np.int64)
-    uline, ace = line_ace_times(
-        lines, times, trace.is_write, assume_live_at_start=assume_live_at_start
-    )
-    line_pages = uline // LINES_PER_PAGE
+    n = len(trace)
+    with span("avf.profile_trace", requests=n):
+        sl, _, sw, line_starts, contrib = _line_sorted_spans(
+            trace.lines, times, trace.is_write, assume_live_at_start)
+        line_pages = sl[line_starts] // LINES_PER_PAGE
+        page_starts = _run_starts(line_pages)
+        pages = line_pages[page_starts]
 
-    pages_all = trace.pages.astype(np.int64)
-    unique_pages = np.unique(pages_all)
+        # Per-page AVF: line ACE summed over the page (in line order)
+        # / 64 lines / window(=1).
+        avf = _run_sums(page_starts, _run_sums(line_starts, contrib))
+        avf /= LINES_PER_PAGE
 
-    # Per-page read/write counts.
-    inverse = np.searchsorted(unique_pages, pages_all)
-    reads = np.zeros(len(unique_pages), dtype=np.int64)
-    writes = np.zeros(len(unique_pages), dtype=np.int64)
-    np.add.at(reads, inverse[~trace.is_write], 1)
-    np.add.at(writes, inverse[trace.is_write], 1)
-
-    # Per-page AVF: sum line ACE over the page / 64 lines / window(=1).
-    avf = np.zeros(len(unique_pages))
-    page_idx = np.searchsorted(unique_pages, line_pages)
-    np.add.at(avf, page_idx, ace)
-    avf /= LINES_PER_PAGE
+        # Per-page counts: each page is one run of the stream.
+        page_bounds = line_starts[page_starts]
+        writes = np.add.reduceat(sw, page_bounds, dtype=np.int64)
+        reads = np.diff(page_bounds, append=n) - writes
 
     return PageStats(
-        pages=unique_pages,
+        pages=pages,
         reads=reads,
         writes=writes,
         avf=np.clip(avf, 0.0, 1.0),
-        footprint_pages=max(footprint_pages, len(unique_pages)),
+        footprint_pages=max(footprint_pages, len(pages)),
     )
 
 
@@ -130,33 +145,6 @@ class IntervalProfile:
 
     def total_avf(self, page: int) -> float:
         return sum(iv.get(page, 0.0) for iv in self.interval_avf)
-
-
-def _ace_spans(
-    trace: Trace, times: np.ndarray, assume_live_at_start: bool
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """Line-sorted previous-access analysis of a trace.
-
-    Returns ``(lines, times, contrib)`` in line-sorted (stable) order:
-    ``contrib`` is each read's ACE span since the line's previous
-    access (window start for a line's first access, 0 for writes).
-    """
-    lines = trace.lines.astype(np.int64)
-    order = np.argsort(lines, kind="stable")
-    sl, st, sw = lines[order], times[order], trace.is_write[order]
-    first = np.empty(len(sl), dtype=bool)
-    if len(sl):
-        first[0] = True
-        first[1:] = sl[1:] != sl[:-1]
-    prev = np.empty_like(st)
-    if len(sl):
-        prev[1:] = st[:-1]
-        prev[0] = 0.0
-        prev[first] = 0.0
-    contrib = np.where(~sw, st - prev, 0.0)
-    if not assume_live_at_start:
-        contrib[first & ~sw] = 0.0
-    return sl, st, contrib
 
 
 def profile_intervals(
@@ -178,7 +166,8 @@ def profile_intervals(
     and the ``intervals`` differential-fuzz family holds the two
     bit-identical.
     """
-    sl, st, contrib = _ace_spans(trace, times, assume_live_at_start)
+    sl, st, _, _, contrib = _line_sorted_spans(
+        trace.lines, times, trace.is_write, assume_live_at_start)
     interval_of = np.searchsorted(boundaries, st, side="right")
     n_intervals = len(boundaries) + 1
     page_of = sl // LINES_PER_PAGE
@@ -214,26 +203,20 @@ class IntervalProfileBuilder:
 
     def __init__(self, trace: Trace, times: np.ndarray,
                  assume_live_at_start: bool = True) -> None:
-        sl, st, contrib = _ace_spans(trace, times, assume_live_at_start)
-        active = contrib > 0
-        #: Read time, page, and scaled contribution per active span, in
-        #: the oracle's line-sorted stream order.
-        self._read_times = st[active]
-        self._pages = (sl[active] // LINES_PER_PAGE)
-        self._values = contrib[active] / LINES_PER_PAGE
-        # The stream is line-sorted, so pages are non-decreasing; dense
-        # page codes therefore come from one run-length pass, no sort.
-        pages = self._pages
-        if len(pages):
-            step = np.empty(len(pages), dtype=np.int64)
-            step[0] = 0
-            step[1:] = pages[1:] != pages[:-1]
-            self._codes = np.add.accumulate(step)
-            self._uniq_pages = pages[np.concatenate(
-                ([0], np.flatnonzero(step[1:] != 0) + 1))]
-        else:
-            self._codes = np.empty(0, dtype=np.int64)
-            self._uniq_pages = np.empty(0, dtype=np.int64)
+        with span("avf.interval_builder", requests=len(trace)):
+            sl, st, _, _, contrib = _line_sorted_spans(
+                trace.lines, times, trace.is_write, assume_live_at_start)
+            active = contrib > 0
+            #: Read time and scaled contribution per active span, in the
+            #: oracle's line-sorted stream order.
+            self._read_times = st[active]
+            self._values = contrib[active] / LINES_PER_PAGE
+            # The stream is line-sorted, so pages never decrease: dense
+            # page codes come from one run-length pass, no sort.
+            pages = sl[active] // LINES_PER_PAGE
+            starts = _run_starts(pages)
+            self._codes = _run_codes(starts, len(pages))
+            self._uniq_pages = pages[starts]
 
     def intervals_arrays(
         self, boundaries: np.ndarray
@@ -241,39 +224,35 @@ class IntervalProfileBuilder:
         """Per-interval ``(pages, avf_values)`` for one boundary set.
 
         Pages appear in first-occurrence order (the oracle dicts'
-        insertion order); values carry the oracle's accumulation
-        rounding exactly: one ``np.bincount`` over combined
-        ``(interval, page)`` codes adds each bin's contributions one at
-        a time in stream order, the same float64 sequence as the dict
-        loop.
+        insertion order), which is ascending: page codes never
+        decrease along the line-sorted stream, so the first span of a
+        smaller code in any interval comes earlier.  Values carry the
+        oracle's accumulation rounding exactly: one ``np.bincount``
+        over combined ``(interval, page)`` codes adds each bin's
+        contributions one at a time in stream order, the same float64
+        sequence as the dict loop.
         """
         n_intervals = len(boundaries) + 1
         n_codes = len(self._uniq_pages)
         empty = (np.empty(0, dtype=np.int64), np.empty(0))
         if not n_codes:
             return [empty] * n_intervals
-        interval_of = np.searchsorted(boundaries, self._read_times,
-                                      side="right")
-        combined = interval_of * n_codes + self._codes
-        n_bins = n_intervals * n_codes
-        sums = np.bincount(combined, weights=self._values,
-                           minlength=n_bins)
-        # First-occurrence position per (interval, page): reversed
-        # fancy assignment makes the earliest stream index win.
-        first = np.full(n_bins, -1, dtype=np.int64)
-        first[combined[::-1]] = np.arange(len(combined) - 1, -1, -1)
-        out: "list[tuple[np.ndarray, np.ndarray]]" = []
-        for i in range(n_intervals):
-            lo = i * n_codes
-            seg_first = first[lo:lo + n_codes]
-            present = np.flatnonzero(seg_first >= 0)
-            if not len(present):
-                out.append(empty)
-                continue
-            by_stream = present[np.argsort(seg_first[present],
-                                           kind="stable")]
-            out.append((self._uniq_pages[by_stream],
-                        sums[lo:lo + n_codes][by_stream]))
+        with span("avf.interval_builder", intervals=n_intervals):
+            interval_of = np.searchsorted(boundaries, self._read_times,
+                                          side="right")
+            combined = interval_of * n_codes + self._codes
+            n_bins = n_intervals * n_codes
+            sums = np.bincount(combined, weights=self._values,
+                               minlength=n_bins)
+            # A span count, not the sum, marks presence: a subnormal
+            # span can scale to 0.0.
+            counts = np.bincount(combined, minlength=n_bins)
+            out: "list[tuple[np.ndarray, np.ndarray]]" = []
+            for lo in range(0, n_bins, n_codes):
+                present = np.flatnonzero(counts[lo:lo + n_codes])
+                out.append((self._uniq_pages[present],
+                            sums[lo:lo + n_codes][present])
+                           if len(present) else empty)
         return out
 
     def profile(self, boundaries: np.ndarray) -> IntervalProfile:

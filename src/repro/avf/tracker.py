@@ -15,7 +15,8 @@ Three equivalent implementations are provided:
 * :class:`AceTracker` — an exact streaming tracker with explicit state
   transitions (reference semantics; heavily unit-tested),
 * :func:`line_ace_times` — a vectorised batch computation over a full
-  trace, used for whole-workload AVF profiling, and
+  trace, on the same line-sorted pass (:func:`_line_sorted_spans`)
+  as whole-workload AVF profiling, and
 * :class:`WindowedAceTracker` — a chunk-batched tracker for the
   dynamic migration engine: each trace chunk is committed with the
   same sorted-by-line vectorised pass as :func:`line_ace_times`, with
@@ -195,8 +196,7 @@ class WindowedAceTracker:
         writes = np.asarray(is_write, dtype=bool)
         self._ensure(int(lines.max()))
 
-        order = np.argsort(lines, kind="stable")  # stable keeps time order
-        sl = lines[order]
+        order, sl = _sort_by_line(lines)  # ties keep time order
         st = times[order]
         sw = writes[order]
 
@@ -263,6 +263,91 @@ class WindowedAceTracker:
         self._ace[:] = 0.0
 
 
+def _sort_by_line(lines: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """``(order, sorted_lines)`` of an int64 line array.
+
+    ``order`` is exactly ``np.argsort(lines, kind="stable")``: requests
+    by line, ties in index (time) order.  Each request's line and index
+    are packed into one int64 key, ``line << bits | index``; the keys
+    are unique, so they have a single sorted order and numpy's unstable
+    int64 sort, much faster than the stable argsort, finds it.  The low
+    ``bits`` of the sorted keys are the permutation, the high ones the
+    sorted lines.  A negative line, or one whose key could overflow
+    int64, takes the stable argsort instead.
+    """
+    n = len(lines)
+    bits = (n - 1).bit_length() if n > 1 else 0
+    if n and (lines.min() < 0 or lines.max() >> (63 - bits)):
+        order = np.argsort(lines, kind="stable")
+        return order, lines[order]
+    keys = lines << bits
+    keys |= np.arange(n, dtype=np.int64)
+    keys.sort()
+    sorted_lines = keys >> bits
+    keys &= (1 << bits) - 1
+    return keys, sorted_lines
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal ``values``."""
+    first = np.empty(len(values), dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
+def _run_codes(starts: np.ndarray, n: int) -> np.ndarray:
+    """Dense run number of each of ``n`` elements, runs at ``starts``."""
+    return np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
+
+
+def _run_sums(starts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Float64 sum of ``weights`` over each run, runs at ``starts``.
+
+    ``np.bincount`` adds a run's weights one at a time in index order,
+    the same float64 sequence as ``np.add.at`` over a monotone inverse
+    (and as the streaming tracker's per-line additions).
+    """
+    sums = np.bincount(_run_codes(starts, len(weights)), weights=weights,
+                       minlength=len(starts))
+    return sums.astype(np.float64, copy=False)
+
+
+def _line_sorted_spans(
+    lines: np.ndarray,
+    times: np.ndarray,
+    is_write: np.ndarray,
+    assume_live_at_start: bool,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+    """Line-sorted previous-access analysis of a time-sorted trace.
+
+    The one line sort behind :func:`line_ace_times`,
+    :func:`~repro.avf.page.profile_trace` and the interval profilers.
+    Returns ``(lines, times, is_write, starts, contrib)`` permuted into
+    line order (ties in time order): ``starts`` indexes each line's
+    first access, ``contrib`` is each read's ACE span since the line's
+    previous access (the window start for a line's first access, 0 for
+    writes and, unless ``assume_live_at_start``, for a first read).
+    """
+    if not (len(lines) == len(times) == len(is_write)):
+        raise ValueError("parallel arrays must have equal length")
+    times = np.asarray(times, dtype=np.float64)
+    if np.any(times[1:] < times[:-1]):
+        raise ValueError("trace must be time-sorted")
+    order, sl = _sort_by_line(np.asarray(lines, dtype=np.int64))
+    st = times[order]
+    sw = np.asarray(is_write, dtype=bool)[order]
+    starts = _run_starts(sl)
+
+    contrib = np.empty_like(st)
+    np.subtract(st[1:], st[:-1], out=contrib[1:])
+    # A line's first access has no predecessor: its span starts at the
+    # window start (time 0) if we assume pre-window liveness.
+    contrib[starts] = st[starts] if assume_live_at_start else 0.0
+    np.copyto(contrib, 0.0, where=sw)
+    return sl, st, sw, starts, contrib
+
+
 def line_ace_times(
     lines: np.ndarray,
     times: np.ndarray,
@@ -279,34 +364,6 @@ def line_ace_times(
     line (or since the window start, if it is the line's first access
     and ``assume_live_at_start``); writes commit nothing.
     """
-    if not (len(lines) == len(times) == len(is_write)):
-        raise ValueError("parallel arrays must have equal length")
-    if len(lines) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    if np.any(np.diff(times) < 0):
-        raise ValueError("trace must be time-sorted")
-
-    order = np.argsort(lines, kind="stable")  # stable keeps time order
-    sl = np.asarray(lines)[order]
-    st = np.asarray(times, dtype=np.float64)[order]
-    sw = np.asarray(is_write)[order]
-
-    first_of_line = np.empty(len(sl), dtype=bool)
-    first_of_line[0] = True
-    first_of_line[1:] = sl[1:] != sl[:-1]
-
-    prev_time = np.empty_like(st)
-    prev_time[1:] = st[:-1]
-    prev_time[0] = 0.0
-    # First access of each line has no predecessor: interval starts at
-    # the window start (0) if we assume pre-window liveness.
-    prev_time[first_of_line] = 0.0
-
-    contrib = np.where(~sw, st - prev_time, 0.0)
-    if not assume_live_at_start:
-        contrib[first_of_line & ~sw] = 0.0
-
-    unique, inverse = np.unique(sl, return_inverse=True)
-    ace = np.zeros(len(unique))
-    np.add.at(ace, inverse, contrib)
-    return unique.astype(np.int64), ace
+    sl, _, _, starts, contrib = _line_sorted_spans(
+        lines, times, is_write, assume_live_at_start)
+    return sl[starts], _run_sums(starts, contrib)

@@ -27,6 +27,10 @@ randomized :class:`~repro.verify.cases.DiffCase` scenarios:
   (:func:`~repro.sim.engine.replay_multi`): a ragged config batch of
   static placements plus a migration spec must match per-point
   scalar :func:`~repro.sim.engine.replay` digests spec by spec.
+* ``page-profile``     — the page profile
+  (:func:`~repro.avf.page.profile_trace`: keyed line sort, run-length
+  sums) vs the stable-sort ``np.add.at`` oracle
+  :func:`~repro.verify.reference.reference_profile_trace`, bit for bit.
 * ``intervals``        — the interval profiler every production path
   runs (:class:`~repro.avf.page.IntervalProfileBuilder`) vs the
   dict-loop :func:`~repro.avf.page.profile_intervals` oracle, and the
@@ -656,6 +660,51 @@ def check_multirun(case: DiffCase) -> "str | None":
     return None
 
 
+def _profile_variants(case: DiffCase):
+    """``(label, trace, times, assume_live)`` page-profile edge cases."""
+    trace, times = build_trace(case)
+    n = len(trace)
+    yield "case", trace, times, True
+    yield "not-live-at-start", trace, times, False
+    yield "empty-trace", trace.slice(0, 0), times[:0], True
+    yield "single-access", trace.slice(0, 1), times[:1], True
+    yield "all-writes", Trace(core=trace.core, address=trace.address,
+                              is_write=np.ones(n, dtype=bool),
+                              gap=trace.gap), times, True
+    # Ties in time: runs of equal timestamps, still sorted.
+    yield "equal-times", trace, np.round(times, 6), True
+    # Lines at 2**57 and up: above 32 requests the packed sort key
+    # would overflow int64, so the stable-sort fallback runs.
+    high = Trace(core=trace.core,
+                 address=trace.address | np.uint64(1 << 63),
+                 is_write=trace.is_write, gap=trace.gap)
+    yield "high-lines", high, times, True
+
+
+def check_page_profile(case: DiffCase) -> "str | None":
+    """``profile_trace`` vs the stable-sort ``np.add.at`` oracle.
+
+    Pages, reads, writes and AVF must match in dtype and bytes, and the
+    footprint must be equal, on the case's trace and its edge cases.
+    """
+    from repro.avf.page import profile_trace
+    from repro.verify.reference import reference_profile_trace
+
+    for label, trace, times, live in _profile_variants(case):
+        want = reference_profile_trace(trace, times, case.footprint_pages,
+                                       assume_live_at_start=live)
+        got = profile_trace(trace, times, case.footprint_pages,
+                            assume_live_at_start=live)
+        for field in ("pages", "reads", "writes", "avf"):
+            a, b = getattr(got, field), getattr(want, field)
+            if a.dtype != b.dtype or a.tobytes() != b.tobytes():
+                return f"{label}: {field} differs from the oracle"
+        if got.footprint_pages != want.footprint_pages:
+            return (f"{label}: footprint_pages={got.footprint_pages} "
+                    f"oracle={want.footprint_pages}")
+    return None
+
+
 def _interval_variants(case: DiffCase, rng: np.random.Generator):
     """``(label, trace, times, boundaries, assume_live)`` edge cases."""
     trace, times = build_trace(case)
@@ -731,6 +780,7 @@ CHECKS = {
     "shm-roundtrip": check_shm_roundtrip,
     "serve": check_serve,
     "multirun": check_multirun,
+    "page-profile": check_page_profile,
     "intervals": check_intervals,
     "frontier": check_frontier,
     "ecc": check_ecc,

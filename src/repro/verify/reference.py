@@ -12,16 +12,74 @@ reference implementation of every stage instead:
 * the dict-form :meth:`~repro.faults.ser.SerModel.ser_dynamic`.
 
 ``tests/sim/test_multirun_parity.py`` holds the production evaluators
-bit-identical to them.
+bit-identical to them.  :func:`reference_profile_trace` is the oracle
+of the page profile, :func:`~repro.avf.page.profile_trace`.
 """
 
 from __future__ import annotations
 
-from repro.avf.page import IntervalProfile, profile_intervals
+import numpy as np
+
+from repro.avf.page import IntervalProfile, PageStats, profile_intervals
+from repro.config import LINES_PER_PAGE
 from repro.core.placement import PerformanceFocusedPlacement
 from repro.dram.hma import HeterogeneousMemory
 from repro.sim.engine import replay
 from repro.sim.results import ExperimentResult
+
+
+def reference_profile_trace(trace, times, footprint_pages: int = 0,
+                            assume_live_at_start: bool = True) -> PageStats:
+    """Per-page hotness and AVF by a stable sort and ``np.add.at``.
+
+    The oracle of :func:`~repro.avf.page.profile_trace`, which must
+    match it bit for bit: per-line ACE from a stable line sort and
+    ``np.unique``, then per-page reads, writes and summed line ACE by
+    ``np.searchsorted`` into the unique pages and ``np.add.at``.
+    """
+    lines = trace.lines.astype(np.int64)
+    times = np.asarray(times, dtype=np.float64)
+    if len(lines) != len(times):
+        raise ValueError("parallel arrays must have equal length")
+    if np.any(np.diff(times) < 0):
+        raise ValueError("trace must be time-sorted")
+
+    # Per-line ACE: every read commits the span since the line's
+    # previous access (the window start for a first access).
+    order = np.argsort(lines, kind="stable")
+    sl, st, sw = lines[order], times[order], trace.is_write[order]
+    first = np.empty(len(sl), dtype=bool)
+    first[:1] = True
+    first[1:] = sl[1:] != sl[:-1]
+    prev = np.empty_like(st)
+    prev[1:] = st[:-1]
+    prev[first] = 0.0
+    contrib = np.where(~sw, st - prev, 0.0)
+    if not assume_live_at_start:
+        contrib[first & ~sw] = 0.0
+    uline, inverse = np.unique(sl, return_inverse=True)
+    ace = np.zeros(len(uline))
+    np.add.at(ace, inverse, contrib)
+
+    pages_all = trace.pages.astype(np.int64)
+    unique_pages = np.unique(pages_all)
+    inverse = np.searchsorted(unique_pages, pages_all)
+    reads = np.zeros(len(unique_pages), dtype=np.int64)
+    writes = np.zeros(len(unique_pages), dtype=np.int64)
+    np.add.at(reads, inverse[~trace.is_write], 1)
+    np.add.at(writes, inverse[trace.is_write], 1)
+
+    avf = np.zeros(len(unique_pages))
+    np.add.at(avf, np.searchsorted(unique_pages, uline // LINES_PER_PAGE),
+              ace)
+    avf /= LINES_PER_PAGE
+    return PageStats(
+        pages=unique_pages,
+        reads=reads,
+        writes=writes,
+        avf=np.clip(avf, 0.0, 1.0),
+        footprint_pages=max(footprint_pages, len(unique_pages)),
+    )
 
 
 def _result(prep, scheme: str, replayed, ser: float,

@@ -11,10 +11,15 @@ from repro.avf.page import (
     profile_intervals,
     profile_trace,
 )
+from repro.avf.tracker import line_ace_times
 from repro.config import LINE_SIZE, LINES_PER_PAGE, PAGE_SIZE
 from repro.faults.ser import SerModel
+from repro.obs.tracing import SpanRecorder, set_current_recorder
 from repro.trace.record import Trace, TraceRecord
-from repro.verify.reference import reference_ser_series
+from repro.verify.reference import (
+    reference_profile_trace,
+    reference_ser_series,
+)
 
 
 def trace_of(entries):
@@ -76,6 +81,18 @@ class TestPageStats:
         with pytest.raises(KeyError):
             s.index_of(np.array([99]))
 
+    def test_index_of_empty_query(self):
+        assert self.make().index_of(np.array([], dtype=np.int64)).size == 0
+
+    def test_index_of_on_empty_profile_raises_keyerror(self):
+        empty = profile_trace(Trace.empty(), np.empty(0))
+        with pytest.raises(KeyError):
+            empty.index_of(np.array([3]))
+
+    def test_index_of_empty_query_on_empty_profile(self):
+        empty = profile_trace(Trace.empty(), np.empty(0))
+        assert empty.index_of(np.array([], dtype=np.int64)).size == 0
+
     def test_len(self):
         assert len(self.make()) == 3
 
@@ -113,6 +130,104 @@ class TestProfileTrace:
         trace, times = trace_of([(0, 0, False)])
         stats = profile_trace(trace, times, footprint_pages=100)
         assert stats.footprint_pages == 100
+
+
+class TestUnsortedTimes:
+    """Every line-sorted entry point rejects out-of-order times."""
+
+    TIMES = np.array([0.5, 0.1, 0.9, 0.3])
+
+    def _trace(self):
+        trace, _ = trace_of([(0, 0, True), (0, 0, False), (1, 2, False),
+                             (0, 0, False)])
+        return trace
+
+    def test_profile_trace(self):
+        with pytest.raises(ValueError, match="time-sorted"):
+            profile_trace(self._trace(), self.TIMES)
+
+    def test_line_ace_times(self):
+        trace = self._trace()
+        with pytest.raises(ValueError, match="time-sorted"):
+            line_ace_times(trace.lines, self.TIMES, trace.is_write)
+
+    def test_interval_builder(self):
+        with pytest.raises(ValueError, match="time-sorted"):
+            IntervalProfileBuilder(self._trace(), self.TIMES)
+
+    def test_profile_intervals(self):
+        with pytest.raises(ValueError, match="time-sorted"):
+            profile_intervals(self._trace(), self.TIMES, np.array([0.5]))
+
+
+def _same_stats(got, want):
+    for field in ("pages", "reads", "writes", "avf"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype, field
+        assert a.tobytes() == b.tobytes(), field
+    assert got.footprint_pages == want.footprint_pages
+
+
+class TestProfileMatchesOracle:
+    """The run-length profile vs the stable-sort ``np.add.at`` oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        entries=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 7),
+                                   st.booleans()), max_size=60),
+        live=st.booleans(),
+        footprint=st.integers(0, 10),
+        high=st.booleans(),
+    )
+    def test_bit_identical(self, entries, live, footprint, high):
+        if entries:
+            trace, times = trace_of(entries)
+        else:
+            trace, times = Trace.empty(), np.empty(0)
+        if high:  # huge line ids: the stable-sort fallback
+            trace = Trace(core=trace.core,
+                          address=trace.address | np.uint64(1 << 63),
+                          is_write=trace.is_write, gap=trace.gap)
+        _same_stats(profile_trace(trace, times, footprint, live),
+                    reference_profile_trace(trace, times, footprint, live))
+
+    def test_empty_dtypes(self):
+        stats = profile_trace(Trace.empty(), np.empty(0))
+        assert stats.pages.dtype == np.int64
+        assert stats.reads.dtype == stats.writes.dtype == np.int64
+        assert stats.avf.dtype == np.float64
+        assert len(stats) == 0
+
+
+class TestTelemetry:
+    """Spans on the profiling layers; results equal with tracing on."""
+
+    def test_on_off_identical_and_spans_named(self):
+        entries = [(p, i % 8, i % 3 == 0) for i in range(40) for p in (0, 2)]
+        trace, times = trace_of(entries)
+        bounds = np.array([0.3, 0.6])
+        off_stats = profile_trace(trace, times)
+        off_pairs = IntervalProfileBuilder(trace, times).intervals_arrays(
+            bounds)
+        recorder = SpanRecorder()
+        previous = set_current_recorder(recorder)
+        try:
+            on_stats = profile_trace(trace, times)
+            on_pairs = IntervalProfileBuilder(trace, times).intervals_arrays(
+                bounds)
+        finally:
+            set_current_recorder(previous)
+        _same_stats(on_stats, off_stats)
+        assert len(on_pairs) == len(off_pairs) == 3
+        for (p_on, v_on), (p_off, v_off) in zip(on_pairs, off_pairs):
+            assert p_on.tobytes() == p_off.tobytes()
+            assert v_on.tobytes() == v_off.tobytes()
+        spans = [(s.name, s.attrs) for s in recorder.spans]
+        assert spans == [
+            ("avf.profile_trace", {"requests": len(trace)}),
+            ("avf.interval_builder", {"requests": len(trace)}),
+            ("avf.interval_builder", {"intervals": 3}),
+        ]
 
 
 class TestProfileIntervals:
@@ -193,3 +308,22 @@ class TestBuilderMatchesOracle:
             _bits([model.ser_dynamic(oracle, residency)])
         assert _bits(model.ser_dynamic_series(pairs, residency)) == \
             _bits(reference_ser_series(model, oracle, residency))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entries=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 63),
+                                   st.booleans()), max_size=120),
+        boundaries=st.lists(st.floats(-0.5, 1.5), max_size=6),
+        live=st.booleans(),
+    )
+    def test_interval_pages_ascend(self, entries, boundaries, live):
+        if entries:
+            trace, times = trace_of(entries)
+        else:
+            trace, times = Trace.empty(), np.empty(0)
+        bounds = np.sort(np.asarray(boundaries, dtype=np.float64))
+        builder = IntervalProfileBuilder(trace, times,
+                                         assume_live_at_start=live)
+        for pages, values in builder.intervals_arrays(bounds):
+            assert len(pages) == len(values)
+            assert np.all(pages[1:] > pages[:-1])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.avf import tracker
 from repro.avf.tracker import (AceTracker, WindowedAceTracker,
                                line_ace_times)
 
@@ -142,6 +143,60 @@ class TestVectorised:
         with pytest.raises(ValueError):
             line_ace_times(np.array([0]), np.array([0.1, 0.2]),
                            np.array([True, False]))
+
+
+class TestKeyedLineSort:
+    """The packed-key line sort is exactly the stable argsort."""
+
+    @staticmethod
+    def _check(lines, expect_fallback, monkeypatch):
+        lines = np.asarray(lines, dtype=np.int64)
+        want = np.argsort(lines, kind="stable")
+        calls = []
+        argsort = np.argsort
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("kind"))
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        order, sorted_lines = tracker._sort_by_line(lines)
+        monkeypatch.undo()
+        assert order.dtype == np.int64
+        assert order.tolist() == want.tolist()
+        assert sorted_lines.tolist() == lines[want].tolist()
+        assert calls == (["stable"] if expect_fallback else [])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        self._check(rng.integers(0, 2**40, size=5_000), False, monkeypatch)
+
+    @pytest.mark.parametrize("distinct", [1, 2, 7])
+    def test_heavily_duplicated(self, distinct, monkeypatch):
+        rng = np.random.default_rng(distinct)
+        self._check(rng.integers(0, distinct, size=10_000), False,
+                    monkeypatch)
+
+    def test_empty(self, monkeypatch):
+        self._check([], False, monkeypatch)
+
+    def test_single_element(self, monkeypatch):
+        self._check([2**62], False, monkeypatch)
+
+    def test_largest_packable_line_is_keyed(self, monkeypatch):
+        # 1,000 requests need 10 index bits: lines below 2**53 pack.
+        lines = np.full(1_000, 2**53 - 1)
+        lines[::3] = 5
+        self._check(lines, False, monkeypatch)
+
+    def test_overflow_range_falls_back(self, monkeypatch):
+        lines = np.full(1_000, 2**53)
+        lines[::3] = 5
+        self._check(lines, True, monkeypatch)
+
+    def test_negative_lines_fall_back(self, monkeypatch):
+        self._check([3, -1, 3, 0, -1], True, monkeypatch)
 
 
 @settings(max_examples=60, deadline=None)

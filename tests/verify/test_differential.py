@@ -229,6 +229,37 @@ class TestIntervalsFamily:
         assert replay_artifact(artifacts[0]).passed
 
 
+class TestPageProfileFamily:
+    """The page-profile check family: run-length profile vs oracle."""
+
+    def test_registered(self):
+        assert CHECKS["page-profile"] is differential.check_page_profile
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_clean_case_passes(self, seed):
+        assert differential.check_page_profile(_some_case(seed)) is None
+
+    def test_unstable_line_sort_is_caught(self, monkeypatch, tmp_path):
+        # Plant the bug the packed key exists to avoid: an unstable
+        # line sort breaks ties out of time order, so spans pair a read
+        # with the wrong previous access.
+        from repro.avf import tracker
+
+        def unstable(lines):
+            order = np.argsort(lines, kind="quicksort")
+            return order, lines[order]
+
+        monkeypatch.setattr(tracker, "_sort_by_line", unstable)
+        results = run_fuzz(num_cases=2, seed=0, artifact_dir=str(tmp_path),
+                           checks={"page-profile":
+                                   differential.check_page_profile})
+        assert not any(r.passed for r in results)
+        artifacts = glob.glob(str(tmp_path / "divergence-page-profile-*"))
+        assert artifacts
+        monkeypatch.undo()
+        assert replay_artifact(artifacts[0]).passed
+
+
 class TestMutationSmoke:
     """A planted bug must be caught, shrunk, and dumped."""
 

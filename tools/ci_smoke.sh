@@ -42,6 +42,9 @@
 #    one process (one evaluation-point table for the whole run) and
 #    with `--jobs 2` (one table per experiment) must print
 #    byte-identical output, so a wrong cross-experiment hit is a diff.
+# 10. Runs the profile parity smoke: every workload `run all` prepares,
+#    at 2,000 accesses/core, must have a page profile bit-identical to
+#    the stable-sort np.add.at oracle (tools/profile_parity.py).
 #
 # Environment:
 #   REPRO_SMOKE_ACCESSES  accesses/core for the kernel benchmark (default 4000)
@@ -79,6 +82,9 @@ python -m repro.harness.cli run all --accesses 2000 --seed 0 \
 python -m repro.harness.cli run all --accesses 2000 --seed 0 --jobs 2 \
     > "$workdir/run_all_per_experiment.txt"
 diff "$workdir/run_all_one_table.txt" "$workdir/run_all_per_experiment.txt"
+
+echo "== profile parity (page profile vs oracle, every run-all workload) =="
+python tools/profile_parity.py
 
 echo "== coverage gate =="
 python tools/coverage_gate.py
