@@ -317,9 +317,6 @@ KNOBS: "dict[str, Knob]" = _knob_table(
     Knob("shm_handoff", "REPRO_SHM_HANDOFF", "bool", True,
          "pass prepared workloads to workers via shared memory "
          "(0 = pickle)"),
-    Knob("multirun", "REPRO_MULTIRUN", "bool", True,
-         "config-batched multi-run engine for sweeps "
-         "(0 = one replay per point)"),
     Knob("fault_trials", "REPRO_FAULT_TRIALS", "int", 0,
          "Monte-Carlo fault-sim trials (0 = analytic)"),
     Knob("seed", "REPRO_SEED", "int", 0,

@@ -244,12 +244,6 @@ def _add_runner_args(sub) -> None:
              "per-access 'sparse' reference "
              "(env REPRO_CACHE_KERNEL)")
     sub.add_argument(
-        "--multirun", action=argparse.BooleanOptionalAction, default=None,
-        help="config-batched multi-run engine: batch every sweep's "
-             "configurations through one vectorized replay pass "
-             "(default on; --no-multirun replays every point on its "
-             "own; env REPRO_MULTIRUN)")
-    sub.add_argument(
         "--telemetry", action="store_true",
         help="record metrics, epoch snapshots, and tracing spans for "
              "each experiment into the run registry "
@@ -370,7 +364,6 @@ def main(argv: "list[str] | None" = None) -> int:
             fault_trials=getattr(args, "fault_trials", None),
             policy_kernel=getattr(args, "policy_kernel", None),
             cache_kernel=getattr(args, "cache_kernel", None),
-            multirun=getattr(args, "multirun", None),
             telemetry=True if getattr(args, "telemetry", False) else None,
             obs_dir=getattr(args, "obs_dir", None)):
         if args.command not in ("run", "export"):
@@ -610,7 +603,7 @@ def _run_checkpointed(targets, args):
         resume=args.resume, job_timeout=args.job_timeout,
         retries=args.retries, fault_trials=args.fault_trials,
         policy_kernel=args.policy_kernel, cache_kernel=args.cache_kernel,
-        multirun=args.multirun, telemetry=args.telemetry,
+        telemetry=args.telemetry,
         obs_dir=args.obs_dir, return_report=True)
     failed = report.failed
     if failed:

@@ -382,20 +382,13 @@ def _static_figure(
         workloads,
         key=lambda w: -(PROFILES[w].mpki if w in PROFILES else 10.0),
     )
-    multirun = bool(knob_value("multirun"))
     for wl in order:
-        prep = cache.get(wl)
-        if multirun:
-            specs = [StaticSpec(policy)]
-            if relative_to_perf:
-                specs.append(StaticSpec(PerformanceFocusedPlacement()))
-            evals = evaluate_static_multi(prep, specs)
-            res = evals[0]
-            base = evals[1] if relative_to_perf else None
-        else:
-            res = evaluate_static(prep, policy)
-            base = (evaluate_static(prep, PerformanceFocusedPlacement())
-                    if relative_to_perf else None)
+        specs = [StaticSpec(policy)]
+        if relative_to_perf:
+            specs.append(StaticSpec(PerformanceFocusedPlacement()))
+        evals = evaluate_static_multi(cache.get(wl), specs)
+        res = evals[0]
+        base = evals[1] if relative_to_perf else None
         if relative_to_perf:
             ipc_ratio = res.ipc / base.ipc if base.ipc else 0.0
             ser_ratio = res.ser / base.ser if base.ser else 0.0
@@ -612,30 +605,21 @@ def fig13_interval_sweep(
     # failure modes are visible: long intervals adapt too slowly to
     # ever exploit the fast memory, short ones drown in migration
     # bandwidth.
-    if knob_value("multirun"):
-        # One batched pass per workload covers every interval count
-        # (sharing the trace precompute and the interval profiler),
-        # then the results regroup into the oracle's per-count rows.
-        per_wl = {}
-        for wl in workloads:
-            per_wl[wl] = evaluate_migration_multi(cache.get(wl), [
-                MigrationSpec(PerformanceFocusedMigration(),
-                              num_intervals=n,
-                              initial_policy=DdrOnlyPlacement())
-                for n in intervals
-            ])
-        results = {
-            (n, wl): per_wl[wl][j]
-            for wl in workloads for j, n in enumerate(intervals)
-        }
-    else:
-        results = {
-            (n, wl): evaluate_migration(
-                cache.get(wl), PerformanceFocusedMigration(),
-                num_intervals=n, initial_policy=DdrOnlyPlacement(),
-            )
-            for n in intervals for wl in workloads
-        }
+    # One batched pass per workload covers every interval count
+    # (sharing the trace precompute and the interval profiler), then
+    # the results regroup into per-count rows.
+    per_wl = {}
+    for wl in workloads:
+        per_wl[wl] = evaluate_migration_multi(cache.get(wl), [
+            MigrationSpec(PerformanceFocusedMigration(),
+                          num_intervals=n,
+                          initial_policy=DdrOnlyPlacement())
+            for n in intervals
+        ])
+    results = {
+        (n, wl): per_wl[wl][j]
+        for wl in workloads for j, n in enumerate(intervals)
+    }
     rows = []
     best = None
     for n in intervals:
@@ -660,26 +644,14 @@ def _migration_vs_perf(
 ) -> FigureResult:
     cache = _cache(cache, accesses_per_core, scale, seed)
     rows, ipc_ratios, ser_ratios = [], [], []
-    multirun = bool(knob_value("multirun"))
     for wl in workloads:
-        prep = cache.get(wl)
-        if multirun:
-            base, res = evaluate_migration_multi(prep, [
-                MigrationSpec(PerformanceFocusedMigration(),
-                              num_intervals=num_intervals),
-                MigrationSpec(mechanism_factory(),
-                              num_intervals=num_intervals,
-                              initial_policy=BalancedPlacement()),
-            ])
-        else:
-            base = evaluate_migration(
-                prep, PerformanceFocusedMigration(),
-                num_intervals=num_intervals,
-            )
-            res = evaluate_migration(
-                prep, mechanism_factory(), num_intervals=num_intervals,
-                initial_policy=BalancedPlacement(),
-            )
+        base, res = evaluate_migration_multi(cache.get(wl), [
+            MigrationSpec(PerformanceFocusedMigration(),
+                          num_intervals=num_intervals),
+            MigrationSpec(mechanism_factory(),
+                          num_intervals=num_intervals,
+                          initial_policy=BalancedPlacement()),
+        ])
         ipc_ratio = res.ipc / base.ipc if base.ipc else 0.0
         ser_ratio = res.ser / base.ser if base.ser else 0.0
         rows.append([wl, ipc_ratio, ser_ratio, res.migrations])
@@ -755,7 +727,6 @@ def workload_frontier(
         repro-hma run workload-frontier
     """
     cache = _cache(cache, accesses_per_core, scale, seed)
-    multirun = bool(knob_value("multirun"))
     rows = []
     ipc_vs_cc, ser_vs_cc = [], []
     summary: "dict[str, float]" = {}
@@ -775,15 +746,7 @@ def workload_frontier(
                           num_intervals=num_intervals,
                           initial_policy=BalancedPlacement()),
         ]
-        if multirun:
-            results = evaluate_migration_multi(prep, specs)
-        else:
-            results = [
-                evaluate_migration(prep, spec.mechanism,
-                                   num_intervals=spec.num_intervals,
-                                   initial_policy=spec.initial_policy)
-                for spec in specs
-            ]
+        results = evaluate_migration_multi(prep, specs)
         by_name = {res.scheme: res for res in results}
         for res in results:
             rows.append([wl, res.scheme, res.ipc_vs_ddr,
@@ -847,11 +810,10 @@ def ecc_pareto(
     Sweeps ECC scheme x tier assignments over the capacity ladder: for
     every (capacity fraction, fast-tier scheme, slow-tier scheme)
     point the performance-focused placement is replayed (one replay
-    per capacity under the ``multirun`` knob — ECC is fault-model-only
-    and dedupes away) and scored on absolute SER (FIT x AVF under that
-    assignment's per-page FIT rates) against the assignment's
-    protection cost (the :mod:`repro.faults.cost` scalar, summed over
-    both tiers).  Rows on the per-capacity Pareto front — no other
+    per capacity — ECC is fault-model-only and dedupes away) and
+    scored on absolute SER (FIT x AVF under that assignment's per-page
+    FIT rates) against the assignment's protection cost (the
+    :mod:`repro.faults.cost` scalar, summed over both tiers).  Rows on the per-capacity Pareto front — no other
     assignment at that capacity has both lower SER and lower cost —
     are flagged; IPC varies only with capacity, giving the third axis
     across fronts.
@@ -873,7 +835,6 @@ def ecc_pareto(
     if fast_schemes is None:
         fast_schemes = SCHEME_LADDER
     cache = _cache(cache, accesses_per_core, scale, seed)
-    multirun = bool(knob_value("multirun"))
     policy = PerformanceFocusedPlacement()
 
     assignments = [(fraction, fast_ecc, slow_ecc)
@@ -898,18 +859,9 @@ def ecc_pareto(
                                                 ecc=slow_ecc),
             ))
         models = SerModel.for_systems(configs, seed=cache.seed)
-        if multirun:
-            specs = [StaticSpec(policy, config=config, ser_model=model)
-                     for config, model in zip(configs, models)]
-            results = evaluate_static_multi(prep, specs)
-        else:
-            results = [
-                evaluate_static(
-                    dataclasses.replace(prep, config=config,
-                                        ser_model=model),
-                    policy)
-                for config, model in zip(configs, models)
-            ]
+        specs = [StaticSpec(policy, config=config, ser_model=model)
+                 for config, model in zip(configs, models)]
+        results = evaluate_static_multi(prep, specs)
         for i, res in enumerate(results):
             sers[i].append(max(res.ser, 1e-30))
             ipcs[i].append(res.ipc_vs_ddr)

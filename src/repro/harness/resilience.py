@@ -462,10 +462,13 @@ def _run_pool(pending, func, jobs, context, timeout, retries, backoff,
                     job = queue[0]
                     if job.not_before > now:
                         break
-                    queue.popleft()
                     directive = (fault_plan.directive(job.key, job.attempts)
                                  if fault_plan else None)
                     future = pool.submit(_invoke, (func, job.item, directive))
+                    # Dequeue only once submitted: a submit() that raises
+                    # BrokenProcessPool leaves the job queued for the next
+                    # generation instead of dropping it.
+                    queue.popleft()
                     job.deadline = (now + timeout) if timeout else None
                     inflight[future] = job
                 if not inflight:

@@ -12,8 +12,11 @@ reference implementation of every stage instead:
 * the dict-form :meth:`~repro.faults.ser.SerModel.ser_dynamic`.
 
 ``tests/sim/test_multirun_parity.py`` holds the production evaluators
-bit-identical to them.  :func:`reference_profile_trace` is the oracle
-of the page profile, :func:`~repro.avf.page.profile_trace`.
+bit-identical to them, and the figures built on those evaluators
+bit-identical to rows folded from these points (the two sweep row
+builders below are shared with ``benchmarks/bench_multirun.py``).
+:func:`reference_profile_trace` is the oracle of the page profile,
+:func:`~repro.avf.page.profile_trace`.
 """
 
 from __future__ import annotations
@@ -138,6 +141,56 @@ def reference_migration(prep, mechanism, num_intervals: int = 16,
     ser = prep.ser_model.ser_dynamic(intervals, replayed.fast_residency)
     return _result(prep, mechanism.name, replayed, ser,
                    migrations=hma.migration_stats.total)
+
+
+def reference_capacity_rows(preps, fractions) -> list:
+    """Capacity-sweep rows folded from reference points.
+
+    The oracle of :func:`~repro.harness.sweeps.capacity_sweep`'s rows.
+    ``preps`` maps workload names to prepared workloads in the sweep's
+    order; each row folds them with the sweep's ``gmean`` order.
+    """
+    from repro.core.placement import Wr2RatioPlacement
+    from repro.harness.reporting import gmean
+    from repro.harness.sweeps import _config_with_fast_pages
+
+    rows = []
+    for fraction in fractions:
+        perf_i, perf_s, wr2_i, wr2_s = [], [], [], []
+        for prep in preps.values():
+            pages = max(1, int(prep.workload_trace.footprint_pages * fraction))
+            config = _config_with_fast_pages(prep.config, pages)
+            perf = reference_static(prep, PerformanceFocusedPlacement(),
+                                    config=config)
+            wr2 = reference_static(prep, Wr2RatioPlacement(), config=config)
+            perf_i.append(perf.ipc_vs_ddr)
+            perf_s.append(perf.ser_vs_ddr)
+            wr2_i.append(wr2.ipc_vs_ddr)
+            wr2_s.append(max(wr2.ser_vs_ddr, 1e-9))
+        rows.append([f"{fraction:.2f}", float(gmean(perf_i)),
+                     float(gmean(perf_s)), float(gmean(wr2_i)),
+                     float(gmean(wr2_s))])
+    return rows
+
+
+def reference_interval_rows(preps, intervals) -> list:
+    """Interval-sweep rows folded from reference points.
+
+    The oracle of the rows of
+    :func:`~repro.harness.experiments.fig13_interval_sweep` over the
+    prepared workloads ``preps``, in order.
+    """
+    from repro.core.migration import PerformanceFocusedMigration
+    from repro.core.placement import DdrOnlyPlacement
+    from repro.harness.reporting import gmean
+
+    return [
+        [n, gmean([reference_migration(
+            prep, PerformanceFocusedMigration(), num_intervals=n,
+            initial_policy=DdrOnlyPlacement()).ipc_vs_ddr
+            for prep in preps])]
+        for n in intervals
+    ]
 
 
 def reference_ser_series(ser_model, intervals: IntervalProfile,

@@ -1,15 +1,20 @@
-"""Single-job isolation and seeded retry-backoff jitter.
+"""Single-job isolation, seeded retry-backoff jitter, submit breakage.
 
-These two resilient_map behaviours back the placement service: each
+These resilient_map behaviours back the placement service: each
 committed session is one job dispatched with ``isolate=True`` (so a
 crash or hang hits only that session), and the backoff jitter is drawn
 from a stream seeded by the unified ``seed`` knob so a chaos run
-replays with identical timing.
+replays with identical timing.  A pool that breaks inside ``submit()``
+(a worker died before the parent saw its future fail) must not lose
+the job being submitted.
 """
 
 import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from repro.config import knob_overrides
+from repro.harness import resilience
 from repro.harness.resilience import (
     FaultPlan,
     _backoff_delay,
@@ -74,3 +79,32 @@ class TestSeededJitter:
             again = [_backoff_delay(0.5, n, _jitter_rng())
                      for n in (1, 2, 3)]
         assert first == again
+
+
+class TestSubmitBreakage:
+    def test_job_whose_submit_breaks_the_pool_is_not_lost(self,
+                                                          monkeypatch):
+        class BreaksOnSecondSubmit(ProcessPoolExecutor):
+            generations = 0
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                type(self).generations += 1
+                self._breaks = type(self).generations == 1
+                self._submits = 0
+
+            def submit(self, *args, **kwargs):
+                self._submits += 1
+                if self._breaks and self._submits == 2:
+                    raise BrokenProcessPool("worker died before submit")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(resilience, "ProcessPoolExecutor",
+                            BreaksOnSecondSubmit)
+        report = resilient_map(_double, range(4), jobs=2, retries=1,
+                               backoff=0)
+        assert [o.result for o in report.outcomes] == [0, 2, 4, 6]
+        assert all(o.succeeded for o in report.outcomes)
+        # The job whose submit() raised was never dispatched: no charge.
+        assert report.outcomes[1].attempts == 1
+        assert report.pool_respawns == 1

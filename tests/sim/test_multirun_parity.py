@@ -8,7 +8,7 @@ of :mod:`repro.verify.reference` — scalar replay, per-point
 ``ser_dynamic`` — and these tests enforce the contract at every layer:
 hypothesis-driven config batches, ragged capacity batches, the
 single-spec degenerate case, migration batches across mechanisms, and
-whole FigureResults with the ``multirun`` knob on vs off.
+whole sweep FigureResults against rows folded from oracle points.
 """
 
 import dataclasses
@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import knob_overrides
 from repro.core.migration import (
     CrossCountersMigration,
     PerformanceFocusedMigration,
@@ -41,7 +40,12 @@ from repro.sim.system import (
     evaluate_static_multi,
     prepare_workload,
 )
-from repro.verify.reference import reference_migration, reference_static
+from repro.verify.reference import (
+    reference_capacity_rows,
+    reference_interval_rows,
+    reference_migration,
+    reference_static,
+)
 
 ACCESSES = 2_000
 POLICIES = (
@@ -146,19 +150,22 @@ class TestMigrationMulti:
 
 
 class TestSweepRegression:
-    """Whole figures must not move when the knob flips."""
+    """Whole figures must equal rows folded from reference-oracle points."""
 
     def test_capacity_sweep_rows(self):
+        from repro.harness.runner import prefetch_workloads
         from repro.harness.sweeps import capacity_sweep
 
         kwargs = dict(workloads=("mcf", "mix1"), fractions=(0.1, 0.4),
                       accesses_per_core=ACCESSES, seed=3, jobs=1)
-        with knob_overrides(multirun=False):
-            want = capacity_sweep(**kwargs)
-        with knob_overrides(multirun=True):
-            got = capacity_sweep(**kwargs)
-        assert got.rows == want.rows
-        assert got.headers == want.headers
+        got = capacity_sweep(**kwargs)
+        preps = prefetch_workloads(kwargs["workloads"],
+                                   accesses_per_core=ACCESSES, seed=3,
+                                   jobs=1)
+        assert got.rows == reference_capacity_rows(preps,
+                                                   kwargs["fractions"])
+        assert got.headers == ["capacity frac", "perf IPC", "perf SER",
+                               "wr2 IPC", "wr2 SER"]
 
     def test_fig13_rows(self):
         from repro.harness.experiments import (
@@ -166,37 +173,60 @@ class TestSweepRegression:
             fig13_interval_sweep,
         )
 
-        def run():
-            cache = WorkloadCache(accesses_per_core=ACCESSES, seed=3)
-            return fig13_interval_sweep(
-                workloads=("astar",), intervals=(4, 8), cache=cache,
-                accesses_per_core=ACCESSES, seed=3)
-
-        with knob_overrides(multirun=False):
-            want = run()
-        with knob_overrides(multirun=True):
-            got = run()
-        assert got.rows == want.rows
-        assert got.summary == want.summary
+        cache = WorkloadCache(accesses_per_core=ACCESSES, seed=3)
+        got = fig13_interval_sweep(
+            workloads=("astar",), intervals=(4, 8), cache=cache,
+            accesses_per_core=ACCESSES, seed=3)
+        want = reference_interval_rows([cache.get("astar")], (4, 8))
+        assert got.rows == want
+        best = max(want, key=lambda row: row[1])
+        assert got.summary == {"best_intervals": float(best[0])}
 
     def test_fit_sweep_rows(self):
+        from repro.faults.ser import SerModel
         from repro.harness.sweeps import fit_multiplier_sweep
 
-        kwargs = dict(workload="mcf", multipliers=(1.0, 7.0),
-                      accesses_per_core=ACCESSES, seed=3)
-        with knob_overrides(multirun=False):
-            want = fit_multiplier_sweep(**kwargs)
-        with knob_overrides(multirun=True):
-            got = fit_multiplier_sweep(**kwargs)
-        assert got.rows == want.rows
+        multipliers = (1.0, 7.0)
+        got = fit_multiplier_sweep(workload="mcf", multipliers=multipliers,
+                                   accesses_per_core=ACCESSES, seed=3)
+        prep = prepare_workload("mcf", accesses_per_core=ACCESSES, seed=3)
+        want = []
+        for multiplier in multipliers:
+            fast = dataclasses.replace(prep.config.fast_memory,
+                                       fit_multiplier=multiplier)
+            config = dataclasses.replace(prep.config, fast_memory=fast)
+            ser_model = SerModel.for_system(config)
+            perf, wr2 = (reference_static(prep, policy, config=config,
+                                          ser_model=ser_model)
+                         for policy in (PerformanceFocusedPlacement(),
+                                        Wr2RatioPlacement()))
+            want.append([multiplier, ser_model.fit_ratio,
+                         perf.ser_vs_ddr, wr2.ser_vs_ddr])
+        assert got.rows == want
 
     def test_mlp_sweep_rows(self):
+        from repro.dram.hma import HeterogeneousMemory
         from repro.harness.sweeps import mlp_sensitivity
+        from repro.sim.engine import replay
 
-        kwargs = dict(workload="mcf", windows=(1, 4),
-                      accesses_per_core=ACCESSES, seed=3)
-        with knob_overrides(multirun=False):
-            want = mlp_sensitivity(**kwargs)
-        with knob_overrides(multirun=True):
-            got = mlp_sensitivity(**kwargs)
-        assert got.rows == want.rows
+        windows = (1, 4)
+        got = mlp_sensitivity(workload="mcf", windows=windows,
+                              accesses_per_core=ACCESSES, seed=3)
+        prep = prepare_workload("mcf", accesses_per_core=ACCESSES, seed=3)
+        wt = prep.workload_trace
+        fast_pages = PerformanceFocusedPlacement().select_fast_pages(
+            prep.stats, prep.capacity_pages)
+        want = []
+        for window in windows:
+            ipcs = []
+            for placed in ([], fast_pages):
+                hma = HeterogeneousMemory(prep.config)
+                hma.install_placement(placed, prep.stats.pages)
+                ipcs.append(replay(
+                    prep.config, hma, wt.trace, wt.times,
+                    core_windows=[window] * prep.config.num_cores,
+                    kernel="scalar").ipc)
+            base, res = ipcs
+            want.append([window, base, res,
+                         res / base if base else 0.0])
+        assert got.rows == want

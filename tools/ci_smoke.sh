@@ -14,15 +14,16 @@
 #    win over the perf-focused baseline.
 # 4. Runs the kill/resume smoke: SIGKILLs a real checkpointed sweep
 #    mid-run, resumes it, and asserts bit-identical rows with only the
-#    unfinished fractions recomputed.  Then the serve chaos smoke: a
-#    live placement daemon on a unix socket with a worker SIGKILL'd
-#    mid-replay and a poison tenant (survivors must be bit-identical
-#    to batch), plus a flooding tenant that must be throttled with
-#    retry_after without degrading a polite tenant's p95 latency.
+#    unfinished workloads (one journaled job each) recomputed.  Then
+#    the serve chaos smoke: a live placement daemon on a unix socket
+#    with a worker SIGKILL'd mid-replay and a poison tenant (survivors
+#    must be bit-identical to batch), plus a flooding tenant that must
+#    be throttled with retry_after without degrading a polite tenant's
+#    p95 latency.
 # 5. Runs the replay-kernel, policy-kernel, end-to-end pipeline,
-#    config-batched multi-run engine (oracle vs batched sweeps), and
-#    workload-generator throughput benchmarks at a small scale with
-#    relaxed JSON output paths, so CI catches both correctness drift
+#    config-batched sweep (absolute wall budget, reference-oracle
+#    parity), and workload-generator throughput benchmarks at a small
+#    scale with relaxed JSON output paths, so CI catches both correctness drift
 #    (the benchmarks assert bit-exact parity of replay results,
 #    migration plans, residual cache-filter traces, shm handoffs,
 #    fault-simulator tallies, and seeded generator determinism) and
@@ -117,7 +118,7 @@ REPRO_BENCH_ACCESSES="${REPRO_SMOKE_ACCESSES:-4000}" \
 REPRO_BENCH_E2E_JSON="$workdir/BENCH_e2e.json" \
 python -m pytest benchmarks/bench_e2e_pipeline.py -q -s -p no:cacheprovider
 
-echo "== multi-run engine smoke benchmark =="
+echo "== batched sweep budget benchmark (oracle parity) =="
 REPRO_BENCH_ACCESSES="${REPRO_SMOKE_ACCESSES:-4000}" \
 REPRO_BENCH_MULTIRUN_JSON="$workdir/BENCH_multirun.json" \
 python -m pytest benchmarks/bench_multirun.py -q -s -p no:cacheprovider

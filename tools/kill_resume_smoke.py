@@ -4,11 +4,12 @@
 End-to-end proof of the crash-consistency story that unit tests can
 only approximate: a real child process running ``capacity_sweep`` with
 a checkpoint directory is SIGKILLed after it has journaled at least one
-finished fraction (and while later fractions are still in flight), and
-a ``resume=True`` rerun must
+finished workload (each workload is one job, keyed ``workload-<name>``)
+and while later workloads are still in flight, and a ``resume=True``
+rerun must
 
 * produce rows identical to an uninterrupted reference run, and
-* journal execution ``outcome`` records only for the fractions the
+* journal execution ``outcome`` records only for the workloads the
   killed run had NOT finished (finished ones are served from the
   journal, proving they were not recomputed).
 
@@ -27,26 +28,25 @@ import time
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from repro.config import knob_overrides  # noqa: E402
 from repro.harness import sweeps  # noqa: E402
 
-SWEEP = dict(workloads=("mcf",), fractions=(0.1, 0.3, 0.6),
+SWEEP = dict(workloads=("mcf", "milc", "lbm"), fractions=(0.1, 0.3, 0.6),
              scale=1 / 2048, accesses_per_core=800, seed=4, jobs=1)
-#: Per-fraction slowdown in the victim child: long enough for the parent
+#: Per-workload slowdown in the victim child: long enough for the parent
 #: to observe the first journal line and land the SIGKILL mid-sweep.
 DELAY_SECONDS = 1.5
 
 
 def _victim(run_dir: str) -> None:
-    """Run the checkpointed sweep with every fraction slowed down."""
-    original = sweeps._capacity_row
+    """Run the checkpointed sweep with every workload slowed down."""
+    original = sweeps._capacity_workload
 
     def slowed(item):
-        row = original(item)
-        time.sleep(DELAY_SECONDS)  # journal the row, then dawdle
-        return row
+        rows = original(item)
+        time.sleep(DELAY_SECONDS)  # finish the job, then dawdle
+        return rows
 
-    sweeps._capacity_row = slowed
+    sweeps._capacity_workload = slowed
     sweeps.capacity_sweep(checkpoint_dir=run_dir, **SWEEP)
 
 
@@ -65,16 +65,6 @@ def _journal(path: str, record_type: str) -> "list[dict]":
 
 
 def main() -> int:
-    # The kill choreography (slowed _capacity_row, fraction-N journal
-    # keys) targets the per-fraction fan-out; under the multirun knob
-    # (the default) the single workload is one job and the kill cannot
-    # land mid-sweep.  The override is in-memory, so the forked victim
-    # inherits it.
-    with knob_overrides(multirun=False):
-        return _main()
-
-
-def _main() -> int:
     print("== kill/resume smoke ==")
     reference = sweeps.capacity_sweep(**SWEEP)
 
@@ -93,7 +83,7 @@ def _main() -> int:
                 return 1
             time.sleep(0.05)
         else:
-            print("FAIL: victim never journaled a finished fraction",
+            print("FAIL: victim never journaled a finished workload",
                   file=sys.stderr)
             return 1
 
@@ -101,9 +91,9 @@ def _main() -> int:
         child.join(timeout=30)
         finished = {r["key"] for r in _journal(manifest, "done")}
         print(f"killed victim pid={child.pid} with "
-              f"{len(finished)}/{len(SWEEP['fractions'])} fractions "
+              f"{len(finished)}/{len(SWEEP['workloads'])} workloads "
               f"journaled: {sorted(finished)}")
-        if len(finished) >= len(SWEEP["fractions"]):
+        if len(finished) >= len(SWEEP["workloads"]):
             print("FAIL: kill landed too late to interrupt anything",
                   file=sys.stderr)
             return 1
@@ -120,7 +110,8 @@ def _main() -> int:
                   f"  reference: {reference.rows}", file=sys.stderr)
             return 1
         executed = {r["key"] for r in _journal(manifest, "outcome")}
-        expected = {f"fraction-{f:.4f}" for f in SWEEP["fractions"]} - finished
+        expected = {f"workload-{name}" for name in SWEEP["workloads"]} \
+            - finished
         if executed != expected:
             print("FAIL: resume executed the wrong jobs "
                   f"(ran {sorted(executed)}, expected {sorted(expected)})",
